@@ -12,6 +12,7 @@
 package plurality_test
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -53,22 +54,30 @@ func BenchmarkAB3EndgameAblation(b *testing.B)      { benchExperiment(b, "ab3") 
 
 // --- single-run protocol benchmarks (simulator profiling) ----------------
 
+// benchProtocol times one run of spec per iteration, each on a fresh
+// population built from counts under seed i+1.
+func benchProtocol(b *testing.B, spec string, counts []int64, opts ...plurality.Option) {
+	b.Helper()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		job, err := plurality.NewJob(spec, counts, append(opts, plurality.WithSeed(uint64(i+1)))...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := job.Run(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkProtocolCore(b *testing.B) {
 	counts, err := plurality.Biased(4000, 4, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pop, err := plurality.NewPopulation(counts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := plurality.RunCore(pop, plurality.WithSeed(uint64(i+1))); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchProtocol(b, "core", counts)
 }
 
 func BenchmarkProtocolTwoChoicesSync(b *testing.B) {
@@ -76,17 +85,7 @@ func BenchmarkProtocolTwoChoicesSync(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pop, err := plurality.NewPopulation(counts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := plurality.RunTwoChoicesSync(pop, plurality.WithSeed(uint64(i+1))); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchProtocol(b, "two-choices", counts, plurality.WithModel(plurality.Synchronous))
 }
 
 func BenchmarkProtocolTwoChoicesAsync(b *testing.B) {
@@ -94,17 +93,7 @@ func BenchmarkProtocolTwoChoicesAsync(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pop, err := plurality.NewPopulation(counts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := plurality.RunTwoChoicesAsync(pop, plurality.WithSeed(uint64(i+1))); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchProtocol(b, "two-choices", counts)
 }
 
 func BenchmarkProtocolOneExtraBit(b *testing.B) {
@@ -112,15 +101,5 @@ func BenchmarkProtocolOneExtraBit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pop, err := plurality.NewPopulation(counts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := plurality.RunOneExtraBit(pop, plurality.WithSeed(uint64(i+1))); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchProtocol(b, "onebit", counts)
 }

@@ -1,6 +1,7 @@
 package plurality_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -12,17 +13,37 @@ import (
 func ksStat(a, b []float64) float64            { return stats.KSStatistic(a, b) }
 func ksThresh(alpha float64, m, n int) float64 { return stats.KSThreshold(alpha, m, n) }
 
+// runOn compiles spec with opts against pop's histogram and runs the job
+// on pop in place.
+func runOn(t *testing.T, spec string, pop *plurality.Population, opts ...plurality.Option) (plurality.Report, error) {
+	t.Helper()
+	job, err := plurality.NewJob(spec, pop.Counts(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return job.RunOn(context.Background(), pop)
+}
+
+// runCounts compiles spec with opts and runs it from its counts.
+func runCounts(spec string, counts []int64, opts ...plurality.Option) (plurality.Report, error) {
+	job, err := plurality.NewJob(spec, counts, opts...)
+	if err != nil {
+		return plurality.Report{}, err
+	}
+	return job.Run(context.Background())
+}
+
 // runEngineTrials collects consensus times and tick counts of an
-// asynchronous dynamics run under the given engine.
-func runEngineTrials(t *testing.T, run func(*plurality.Population, ...plurality.Option) (plurality.AsyncResult, error),
-	counts []int64, engine plurality.Engine, model plurality.Model, trials int, seedBase uint64) (times, ticks []float64) {
+// asynchronous run of spec under the given engine, each trial on a fresh
+// population.
+func runEngineTrials(t *testing.T, spec string, counts []int64, engine plurality.Engine, model plurality.Model, trials int, seedBase uint64) (times, ticks []float64) {
 	t.Helper()
 	for i := 0; i < trials; i++ {
 		pop, err := plurality.NewPopulation(counts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := run(pop,
+		rep, err := runOn(t, spec, pop,
 			plurality.WithSeed(seedBase+uint64(i)),
 			plurality.WithEngine(engine),
 			plurality.WithModel(model),
@@ -30,11 +51,11 @@ func runEngineTrials(t *testing.T, run func(*plurality.Population, ...plurality.
 		if err != nil {
 			t.Fatalf("trial %d: %v", i, err)
 		}
-		if !pop.ConsensusOn(res.Winner) {
-			t.Fatalf("trial %d: population disagrees with reported winner %d", i, res.Winner)
+		if !pop.ConsensusOn(rep.Winner) {
+			t.Fatalf("trial %d: population disagrees with reported winner %d", i, rep.Winner)
 		}
-		times = append(times, res.Time)
-		ticks = append(ticks, float64(res.Ticks))
+		times = append(times, rep.Time)
+		ticks = append(ticks, float64(rep.Ticks))
 	}
 	return times, ticks
 }
@@ -48,14 +69,10 @@ func runEngineTrials(t *testing.T, run func(*plurality.Population, ...plurality.
 func TestOccupancyMatchesPerNodeDistributions(t *testing.T) {
 	const trials = 200
 	counts := []int64{120, 60, 60}
-	runs := map[string]func(*plurality.Population, ...plurality.Option) (plurality.AsyncResult, error){
-		"two-choices": plurality.RunTwoChoicesAsync,
-		"3-majority":  plurality.RunThreeMajorityAsync,
-	}
 	for _, model := range []plurality.Model{plurality.Sequential, plurality.Poisson} {
-		for name, run := range runs {
-			perT, perM := runEngineTrials(t, run, counts, plurality.EnginePerNode, model, trials, 100)
-			occT, occM := runEngineTrials(t, run, counts, plurality.EngineOccupancy, model, trials, 9000)
+		for _, name := range []string{"two-choices", "3-majority"} {
+			perT, perM := runEngineTrials(t, name, counts, plurality.EnginePerNode, model, trials, 100)
+			occT, occM := runEngineTrials(t, name, counts, plurality.EngineOccupancy, model, trials, 9000)
 			thresh := ksThresh(0.001, trials, trials) + 1.0/240
 			if d := ksStat(perT, occT); d > thresh {
 				t.Errorf("%s model=%d: consensus-time KS %.4f > %.4f", name, model, d, thresh)
@@ -82,7 +99,7 @@ func TestOccupancyMatchesPerNodeTrajectory(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = plurality.RunTwoChoicesAsync(pop,
+			_, err = runOn(t, "two-choices", pop,
 				plurality.WithSeed(3000+uint64(i)),
 				plurality.WithEngine(engine),
 				plurality.WithModel(plurality.Poisson),
@@ -104,13 +121,6 @@ func TestOccupancyMatchesPerNodeTrajectory(t *testing.T) {
 	}
 }
 
-// runDynamicBySpec adapts the registry entry point to runEngineTrials.
-func runDynamicBySpec(spec string) func(*plurality.Population, ...plurality.Option) (plurality.AsyncResult, error) {
-	return func(pop *plurality.Population, opts ...plurality.Option) (plurality.AsyncResult, error) {
-		return plurality.RunDynamic(spec, pop, opts...)
-	}
-}
-
 // TestNewProtocolsMatchPerNodeDistributions extends the cross-engine
 // distributional-equivalence gate to the registry's new families: for USD
 // (whose undecided state rides in the occupancy engine's hidden bucket)
@@ -122,9 +132,8 @@ func TestNewProtocolsMatchPerNodeDistributions(t *testing.T) {
 	counts := []int64{120, 60, 60}
 	for _, model := range []plurality.Model{plurality.Sequential, plurality.Poisson} {
 		for _, spec := range []string{"usd", "j-majority:4"} {
-			run := runDynamicBySpec(spec)
-			perT, perM := runEngineTrials(t, run, counts, plurality.EnginePerNode, model, trials, 100)
-			occT, occM := runEngineTrials(t, run, counts, plurality.EngineOccupancy, model, trials, 9000)
+			perT, perM := runEngineTrials(t, spec, counts, plurality.EnginePerNode, model, trials, 100)
+			occT, occM := runEngineTrials(t, spec, counts, plurality.EngineOccupancy, model, trials, 9000)
 			thresh := ksThresh(0.001, trials, trials) + 1.0/240
 			if d := ksStat(perT, occT); d > thresh {
 				t.Errorf("%s model=%d: consensus-time KS %.4f > %.4f", spec, model, d, thresh)
@@ -157,11 +166,12 @@ func TestJMajorityOneIsVoterBitForBit(t *testing.T) {
 			plurality.WithModel(plurality.Poisson),
 			plurality.WithMaxTime(1e6),
 		}
-		resJ, errJ := plurality.RunDynamic("j-majority:1", popJ, opts...)
-		resV, errV := plurality.RunVoterAsync(popV, opts...)
+		resJ, errJ := runOn(t, "j-majority:1", popJ, opts...)
+		resV, errV := runOn(t, "voter", popV, opts...)
 		if errJ != nil || errV != nil {
 			t.Fatalf("seed %d: errs %v / %v", seed, errJ, errV)
 		}
+		resJ.Protocol, resV.Protocol = "", ""
 		if resJ != resV {
 			t.Fatalf("seed %d: j-majority:1 %+v != voter %+v", seed, resJ, resV)
 		}
@@ -177,8 +187,8 @@ func TestJMajorityThreeMatchesThreeMajority(t *testing.T) {
 	const trials = 250
 	counts := []int64{120, 60, 60}
 	for _, engine := range []plurality.Engine{plurality.EnginePerNode, plurality.EngineOccupancy} {
-		jT, jM := runEngineTrials(t, runDynamicBySpec("j-majority:3"), counts, engine, plurality.Poisson, trials, 300)
-		mT, mM := runEngineTrials(t, plurality.RunThreeMajorityAsync, counts, engine, plurality.Poisson, trials, 7700)
+		jT, jM := runEngineTrials(t, "j-majority:3", counts, engine, plurality.Poisson, trials, 300)
+		mT, mM := runEngineTrials(t, "3-majority", counts, engine, plurality.Poisson, trials, 7700)
 		thresh := ksThresh(0.001, trials, trials) + 1.0/240
 		if d := ksStat(jT, mT); d > thresh {
 			t.Errorf("engine=%d: consensus-time KS %.4f > %.4f", engine, d, thresh)
@@ -211,14 +221,13 @@ func TestLeapMatchesExactDistributions(t *testing.T) {
 		{1e7, 50, false},
 	}
 	for _, spec := range []string{"two-choices", "usd"} {
-		run := runDynamicBySpec(spec)
 		for _, c := range cases {
 			if !c.short && testing.Short() {
 				continue
 			}
 			counts := []int64{c.n / 2, c.n / 4, c.n / 4}
-			occT, occM := runEngineTrials(t, run, counts, plurality.EngineOccupancy, plurality.Poisson, c.trials, 4100)
-			leapT, leapM := runEngineTrials(t, run, counts, plurality.EngineLeap, plurality.Poisson, c.trials, 62000)
+			occT, occM := runEngineTrials(t, spec, counts, plurality.EngineOccupancy, plurality.Poisson, c.trials, 4100)
+			leapT, leapM := runEngineTrials(t, spec, counts, plurality.EngineLeap, plurality.Poisson, c.trials, 62000)
 			thresh := ksThresh(0.001, c.trials, c.trials) + 0.12
 			t.Logf("%s n=%g: timeKS=%.4f tickKS=%.4f thresh=%.4f", spec, float64(c.n), ksStat(occT, leapT), ksStat(occM, leapM), thresh)
 			if d := ksStat(occT, leapT); d > thresh {
@@ -231,132 +240,108 @@ func TestLeapMatchesExactDistributions(t *testing.T) {
 	}
 }
 
-// TestCountsAPIMatchesPopulationRun: the O(k)-memory counts entry point and
-// the population entry point drive the identical engine off the identical
-// RNG streams, so for a fixed seed they must agree bit for bit.
+// TestCountsAPIMatchesPopulationRun: a counts job (EngineOccupancy, run
+// from the histogram) and the same job on a population (EngineAuto,
+// collapsing the population's histogram) drive the identical engine off
+// the identical RNG streams, so for a fixed seed they must agree bit for
+// bit.
 func TestCountsAPIMatchesPopulationRun(t *testing.T) {
 	counts := []int64{500, 250, 250}
-	pop, err := plurality.NewPopulation(counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromPop, err := plurality.RunTwoChoicesAsync(pop,
-		plurality.WithSeed(77), plurality.WithModel(plurality.Poisson))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := append([]int64(nil), counts...)
-	fromCounts, err := plurality.RunTwoChoicesCounts(cs,
-		plurality.WithSeed(77), plurality.WithModel(plurality.Poisson))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromPop != fromCounts {
-		t.Fatalf("population run %+v != counts run %+v", fromPop, fromCounts)
-	}
-	if cs[fromCounts.Winner] != 1000 {
-		t.Fatalf("counts not driven to consensus: %v", cs)
-	}
-	if !pop.ConsensusOn(fromPop.Winner) {
-		t.Fatal("population not written back to consensus")
-	}
-
-	// The same bit-for-bit identity must hold for USD, whose undecided
-	// state rides in the engine's hidden bucket on both paths.
-	popU, err := plurality.NewPopulation(counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromPopU, err := plurality.RunDynamic("usd", popU,
-		plurality.WithSeed(78), plurality.WithModel(plurality.Poisson))
-	if err != nil {
-		t.Fatal(err)
-	}
-	csU := append([]int64(nil), counts...)
-	fromCountsU, err := plurality.RunDynamicCounts("usd", csU,
-		plurality.WithSeed(78), plurality.WithModel(plurality.Poisson))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromPopU != fromCountsU {
-		t.Fatalf("usd population run %+v != counts run %+v", fromPopU, fromCountsU)
-	}
-	if csU[fromCountsU.Winner] != 1000 || !popU.ConsensusOn(fromPopU.Winner) {
-		t.Fatalf("usd runs not driven to consensus: %v / %v", csU, popU.Counts())
+	for _, tc := range []struct {
+		spec string
+		seed uint64
+	}{
+		{"two-choices", 77},
+		// USD's undecided state rides in the engine's hidden bucket on
+		// both paths.
+		{"usd", 78},
+	} {
+		pop, err := plurality.NewPopulation(counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromPop, err := runOn(t, tc.spec, pop,
+			plurality.WithSeed(tc.seed), plurality.WithModel(plurality.Poisson))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromCounts, err := runCounts(tc.spec, counts,
+			plurality.WithSeed(tc.seed), plurality.WithModel(plurality.Poisson),
+			plurality.WithEngine(plurality.EngineOccupancy))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fromPop != fromCounts {
+			t.Fatalf("%s: population run %+v != counts run %+v", tc.spec, fromPop, fromCounts)
+		}
+		if !fromCounts.Converged {
+			t.Fatalf("%s: counts not driven to consensus: %+v", tc.spec, fromCounts)
+		}
+		if !pop.ConsensusOn(fromPop.Winner) {
+			t.Fatalf("%s: population not written back to consensus: %v", tc.spec, pop.Counts())
+		}
 	}
 }
 
-// TestCountsAPIChurnAndVoter covers the tick-mode paths of the counts API.
+// TestCountsAPIChurnAndVoter covers the tick-mode paths of the counts
+// engine.
 func TestCountsAPIChurnAndVoter(t *testing.T) {
-	cs := []int64{600, 400}
-	res, err := plurality.RunThreeMajorityCounts(cs,
-		plurality.WithSeed(5), plurality.WithChurn(0.0002))
+	res, err := runCounts("3-majority", []int64{600, 400},
+		plurality.WithSeed(5), plurality.WithChurn(0.0002),
+		plurality.WithEngine(plurality.EngineOccupancy))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Done || res.Churns == 0 {
+	if !res.Converged || res.Churns == 0 {
 		t.Fatalf("churned counts run: %+v", res)
 	}
-	cs2 := []int64{300, 200}
-	res2, err := plurality.RunVoterCounts(cs2, plurality.WithSeed(6))
+	res2, err := runCounts("voter", []int64{300, 200},
+		plurality.WithSeed(6), plurality.WithEngine(plurality.EngineOccupancy))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res2.Done {
+	if !res2.Converged {
 		t.Fatalf("voter counts run: %+v", res2)
 	}
 }
 
 // TestEngineSelectionErrors pins the explicit-failure contract of
-// EngineOccupancy and the counts API.
+// EngineOccupancy on populations and on counts jobs.
 func TestEngineSelectionErrors(t *testing.T) {
 	counts := []int64{50, 50}
-	pop, err := plurality.NewPopulation(counts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	g, err := plurality.CycleGraph(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plurality.RunTwoChoicesAsync(pop,
-		plurality.WithEngine(plurality.EngineOccupancy), plurality.WithGraph(g)); err == nil {
-		t.Error("EngineOccupancy on a cycle: no error")
-	}
-	if _, err := plurality.RunTwoChoicesAsync(pop,
-		plurality.WithEngine(plurality.EngineOccupancy),
-		plurality.WithEdgeLatency(plurality.ExpEdgeLatency(1))); err == nil {
-		t.Error("EngineOccupancy with edge latencies: no error")
-	}
-	if _, err := plurality.RunTwoChoicesCounts(counts,
-		plurality.WithEngine(plurality.EnginePerNode)); err == nil {
-		t.Error("counts API with EnginePerNode: no error")
-	}
-	if _, err := plurality.RunTwoChoicesCounts(counts,
-		plurality.WithResponseDelay(2)); err == nil {
-		t.Error("counts API with response delays: no error")
-	}
-	if _, err := plurality.RunTwoChoicesCounts([]int64{1}); err == nil {
-		t.Error("degenerate histogram: no error")
-	}
-	if _, err := plurality.RunTwoChoicesCounts(counts,
-		plurality.WithModel(plurality.HeapPoisson)); err == nil {
-		t.Error("counts API with the O(n) HeapPoisson scheduler: no error")
+	occupancy := plurality.WithEngine(plurality.EngineOccupancy)
+	for _, tc := range []struct {
+		name   string
+		counts []int64
+		opts   []plurality.Option
+	}{
+		{"EngineOccupancy on a cycle", counts, []plurality.Option{occupancy, plurality.WithGraph(g)}},
+		{"EngineOccupancy with edge latencies", counts, []plurality.Option{occupancy, plurality.WithEdgeLatency(plurality.ExpEdgeLatency(1))}},
+		{"EngineOccupancy with response delays", counts, []plurality.Option{occupancy, plurality.WithResponseDelay(2)}},
+		{"degenerate histogram", []int64{1}, []plurality.Option{occupancy}},
+		{"EngineOccupancy with the O(n) HeapPoisson scheduler", counts, []plurality.Option{occupancy, plurality.WithModel(plurality.HeapPoisson)}},
+	} {
+		if _, err := runCounts("two-choices", tc.counts, tc.opts...); err == nil {
+			t.Errorf("%s: no error", tc.name)
+		}
 	}
 	// An effectively-unbounded MaxTime must still complete (tick-mode
 	// fallback), not overflow the leap tick budget.
-	cs := []int64{60, 40}
-	if res, err := plurality.RunTwoChoicesCounts(cs,
-		plurality.WithSeed(2), plurality.WithMaxTime(1e18)); err != nil || !res.Done {
+	if res, err := runCounts("two-choices", []int64{60, 40},
+		plurality.WithSeed(2), plurality.WithMaxTime(1e18), occupancy); err != nil || !res.Converged {
 		t.Errorf("huge MaxTime counts run: res=%+v err=%v", res, err)
 	}
 	// A latency-configured run must still work under EngineAuto — it
 	// falls back to the per-node engine rather than erroring.
-	pop2, err := plurality.NewPopulation([]int64{60, 40})
+	pop, err := plurality.NewPopulation([]int64{60, 40})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plurality.RunTwoChoicesAsync(pop2,
+	if _, err := runOn(t, "two-choices", pop,
 		plurality.WithSeed(4), plurality.WithEdgeLatency(plurality.ExpEdgeLatency(0.1))); err != nil {
 		t.Errorf("EngineAuto latency fallback: %v", err)
 	}

@@ -19,7 +19,7 @@ func TestWithEdgeLatency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunCore(pop, append([]Option{WithSeed(3), WithModel(Poisson)}, opts...)...)
+		res, err := runCore(t, pop, append([]Option{WithSeed(3), WithModel(Poisson)}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,11 +36,11 @@ func TestWithEdgeLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunTwoChoicesAsync(pop, WithSeed(3), WithEdgeLatency(ExpEdgeLatency(1)))
+	res, err := runOn(t, "two-choices", pop, WithSeed(3), WithEdgeLatency(ExpEdgeLatency(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Done {
+	if !res.Converged {
 		t.Fatalf("two-choices under latency did not converge: %+v", res)
 	}
 }
@@ -57,7 +57,7 @@ func TestWithChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core, err := RunCore(pop, WithSeed(5), WithChurn(0.2/n))
+	core, err := runCore(t, pop, WithSeed(5), WithChurn(0.2/n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,23 +69,19 @@ func TestWithChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := RunThreeMajorityAsync(pop2, WithSeed(5), WithChurn(0.2/n))
+	dyn, err := runOn(t, "3-majority", pop2, WithSeed(5), WithChurn(0.2/n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dyn.Done || dyn.Churns == 0 {
+	if !dyn.Converged || dyn.Churns == 0 {
 		t.Fatalf("three-majority churn run: %+v", dyn)
 	}
 }
 
 // TestWithCrashesRejectsSparseTopology: the public surface enforces the
-// crash/topology contract.
+// crash/topology contract at NewJob.
 func TestWithCrashesRejectsSparseTopology(t *testing.T) {
 	counts, err := Biased(100, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pop, err := NewPopulation(counts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +89,7 @@ func TestWithCrashesRejectsSparseTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunCore(pop, WithGraph(g), WithCrashes(0.1))
+	_, err = NewJob("core", counts, WithGraph(g), WithCrashes(0.1))
 	if err == nil {
 		t.Fatal("crash injection on a cycle should be rejected")
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -251,7 +252,7 @@ func runLeapCell(cell leapCell, seedBase uint64) (LeapBenchEntry, error) {
 }
 
 // runLeapCalibration runs the exact and the hybrid engine over the same
-// workload (same seeds, the public counts API both times) and records the
+// workload (same seeds, a counts Job both times) and records the
 // relative consensus-time error.
 func runLeapCalibration(cell leapCell, seedBase uint64) (LeapCalibration, error) {
 	cal := LeapCalibration{Protocol: cell.protocol, N: cell.n, Trials: cell.trials}
@@ -262,8 +263,7 @@ func runLeapCalibration(cell leapCell, seedBase uint64) (LeapCalibration, error)
 	meanTime := func(engine plurality.Engine) (float64, error) {
 		var total float64
 		for trial := 0; trial < cell.trials; trial++ {
-			cs := append([]int64(nil), counts...)
-			res, err := plurality.RunDynamicCounts(cell.protocol, cs,
+			job, err := plurality.NewJob(cell.protocol, counts,
 				plurality.WithSeed(plurality.TrialSeed(seedBase, trial)),
 				plurality.WithModel(plurality.Poisson),
 				plurality.WithEngine(engine),
@@ -271,7 +271,11 @@ func runLeapCalibration(cell leapCell, seedBase uint64) (LeapCalibration, error)
 			if err != nil {
 				return 0, err
 			}
-			total += res.Time
+			rep, err := job.Run(context.Background())
+			if err != nil {
+				return 0, err
+			}
+			total += rep.Time
 		}
 		return total / float64(cell.trials), nil
 	}

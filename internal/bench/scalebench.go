@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -228,9 +229,10 @@ func runScaleCell(cell scaleCell, seedBase uint64) (ScaleBenchEntry, error) {
 			runtime.ReadMemStats(&before)
 		}
 		var (
-			res plurality.AsyncResult
+			rep plurality.Report
 			err error
 		)
+		engine := plurality.EngineOccupancy
 		switch cell.engine {
 		case "per-node":
 			var pop *plurality.Population
@@ -246,27 +248,31 @@ func runScaleCell(cell scaleCell, seedBase uint64) (ScaleBenchEntry, error) {
 				}
 				popOpts = append(popOpts, plurality.WithGraph(g))
 			}
+			job, jerr := plurality.NewJob("two-choices", counts, popOpts...)
+			if jerr != nil {
+				return entry, jerr
+			}
 			start := time.Now()
-			res, err = plurality.RunTwoChoicesAsync(pop, popOpts...)
+			rep, err = job.RunOn(context.Background(), pop)
 			elapsed += time.Since(start)
 		case "lumped":
 			g, gerr := plurality.AnnealedRegularGraph(int(cell.n), 8)
 			if gerr != nil {
 				return entry, gerr
 			}
-			cs := append([]int64(nil), counts...)
-			start := time.Now()
-			res, err = plurality.RunTwoChoicesCounts(cs, append(opts, plurality.WithGraph(g), plurality.WithEngine(plurality.EngineOccupancy))...)
-			elapsed += time.Since(start)
+			opts = append(opts, plurality.WithGraph(g))
 		case "leap":
-			cs := append([]int64(nil), counts...)
+			engine = plurality.EngineLeap
+		}
+		if cell.engine != "per-node" {
+			// The count-collapsed cells run on the histogram: no
+			// population is ever materialized.
+			job, jerr := plurality.NewJob("two-choices", counts, append(opts, plurality.WithEngine(engine))...)
+			if jerr != nil {
+				return entry, jerr
+			}
 			start := time.Now()
-			res, err = plurality.RunTwoChoicesCounts(cs, append(opts, plurality.WithEngine(plurality.EngineLeap))...)
-			elapsed += time.Since(start)
-		default:
-			cs := append([]int64(nil), counts...)
-			start := time.Now()
-			res, err = plurality.RunTwoChoicesCounts(cs, opts...)
+			rep, err = job.Run(context.Background())
 			elapsed += time.Since(start)
 		}
 		if err != nil && !errors.Is(err, plurality.ErrTimeLimit) {
@@ -278,10 +284,10 @@ func runScaleCell(cell scaleCell, seedBase uint64) (ScaleBenchEntry, error) {
 			entry.AllocBytes = after.TotalAlloc - before.TotalAlloc
 			entry.BytesPerNode = float64(entry.AllocBytes) / float64(cell.n)
 		}
-		totalTicks += res.Ticks
-		if res.Done {
+		totalTicks += rep.Ticks
+		if rep.Converged {
 			entry.Converged++
-			totalTime += res.Time
+			totalTime += rep.Time
 		}
 	}
 	entry.Seconds = elapsed.Seconds()

@@ -112,16 +112,27 @@ func validate(pop *population.Population, cfg Config) error {
 		return errors.New("core: nil scheduler")
 	case cfg.Rand == nil:
 		return errors.New("core: nil rand")
-	case cfg.MaxTime <= 0:
-		return fmt.Errorf("core: MaxTime = %v, want > 0", cfg.MaxTime)
-	case cfg.MaxTime > maxTimeInt32Safe:
-		return fmt.Errorf("core: MaxTime = %v exceeds %d, the bound that keeps per-node tick counters in int32", cfg.MaxTime, int64(maxTimeInt32Safe))
 	case cfg.Graph.N() != pop.N():
 		return fmt.Errorf("core: graph has %d nodes, population %d", cfg.Graph.N(), pop.N())
 	case cfg.Scheduler.N() != pop.N():
 		return fmt.Errorf("core: scheduler has %d nodes, population %d", cfg.Scheduler.N(), pop.N())
+	}
+	return cfg.Validate()
+}
+
+// Validate checks the parts of cfg that do not depend on a population: the
+// time budget, the churn, crash and desynchronization parameters, the
+// adversary family and — when Graph is set — the topology crash injection
+// needs. Run applies it to every configuration; callers that compile a
+// configuration ahead of time call it to reject the same inputs eagerly.
+func (cfg Config) Validate() error {
+	switch {
+	case cfg.MaxTime <= 0:
+		return fmt.Errorf("core: MaxTime = %v, want > 0", cfg.MaxTime)
+	case cfg.MaxTime > maxTimeInt32Safe:
+		return fmt.Errorf("core: MaxTime = %v exceeds %d, the bound that keeps per-node tick counters in int32", cfg.MaxTime, int64(maxTimeInt32Safe))
 	case cfg.CrashFraction < 0 || cfg.CrashFraction >= 1:
-		return fmt.Errorf("core: CrashFraction = %v, want [0, 1)", cfg.CrashFraction)
+		return fmt.Errorf("core: crash injection: CrashFraction = %v, want [0, 1)", cfg.CrashFraction)
 	case cfg.ChurnRate < 0 || cfg.ChurnRate >= 1:
 		return fmt.Errorf("core: ChurnRate = %v, want [0, 1)", cfg.ChurnRate)
 	case cfg.DesyncFraction < 0 || cfg.DesyncFraction >= 1:
@@ -134,7 +145,7 @@ func validate(pop *population.Population, cfg Config) error {
 	if adv := cfg.Adversary; adv != nil && adv.Family() == adversary.FamilyByzantine {
 		return fmt.Errorf("core: the %s adversary has no lying channel here — protocol samples carry bits and real times alongside colors; use the generic rule engines for Byzantine sampling", adv.Desc().Name)
 	}
-	if cfg.CrashFraction > 0 {
+	if cfg.CrashFraction > 0 && cfg.Graph != nil {
 		// Crashed nodes stay visible to sampling, which matches the
 		// paper's model on the clique where every sample is one of n-1
 		// interchangeable nodes. On a sparse topology the same rule can
@@ -142,7 +153,7 @@ func validate(pop *population.Population, cfg Config) error {
 		// to ever change opinion, deadlocking the run with no error.
 		// Reject the combination instead of silently sampling the dead.
 		if _, ok := cfg.Graph.(graph.Complete); !ok {
-			return fmt.Errorf("core: CrashFraction = %v requires the complete graph, got %T (crashed nodes remain sampled; a sparse neighborhood of crashed nodes would deadlock)", cfg.CrashFraction, cfg.Graph)
+			return fmt.Errorf("core: CrashFraction = %v requires the complete graph, got %T (crash injection is defined on the complete topology only: crashed nodes remain sampled, and a sparse neighborhood of crashed nodes would deadlock)", cfg.CrashFraction, cfg.Graph)
 		}
 	}
 	return nil

@@ -139,32 +139,51 @@ type Trial struct {
 	Messages int64
 }
 
-// Validate checks that the scenario names a runnable configuration.
+// Validate checks that the scenario names a runnable configuration: it
+// compiles the scenario (which parses the harness's own string fields) and
+// validates the result as a plurality.Job, whose capability table owns
+// every engine × option × topology × adversary × runtime rule.
 func (sc Scenario) Validate() error {
-	if sc.Protocol != "core" {
-		// Any registered sampling dynamic is a valid protocol; resolving
-		// the spec here validates parameterized families eagerly (the
-		// Compile contract), before any simulation runs.
-		if _, err := plurality.LookupProtocol(sc.Protocol); err != nil {
-			return fmt.Errorf("exp: protocol %q: %w", sc.Protocol, err)
-		}
+	protocol, counts, opts, err := sc.compile(0)
+	if err != nil {
+		return err
 	}
+	if _, err := plurality.NewJob(protocol, counts, opts...); err != nil {
+		return fmt.Errorf("exp: %w", err)
+	}
+	return nil
+}
+
+// nodeRuntime reports whether the scenario runs on the networked node
+// runtime rather than a simulator engine.
+func (sc Scenario) nodeRuntime() bool {
+	return sc.Runtime == "node" || sc.Runtime == "node-tcp"
+}
+
+// fromCounts reports whether a trial runs from the job's bound counts
+// instead of a shuffled per-node population: the count-collapsed engines
+// never materialize one (O(k) memory regardless of n), and the node runtime
+// builds its own cluster. On the clique both are exchangeable, so block
+// placement is statistically irrelevant.
+func (sc Scenario) fromCounts() bool {
+	return sc.nodeRuntime() || sc.Engine == "occupancy" || strings.HasPrefix(sc.Engine, "leap")
+}
+
+// maxNodeRuntimeN bounds n on the node runtime: one goroutine (plus timers
+// and message events) per node, so a mistyped axis cannot ask the scheduler
+// for millions of processes.
+const maxNodeRuntimeN = 1 << 16
+
+// checkFields validates the scenario's own fields: the n and k bounds, the
+// topology parameters, the numeric encodings where 0 selects a default, and
+// the node runtime's n cap.
+// Whether the fields combine into a runnable job is the Job's concern.
+func (sc Scenario) checkFields() error {
 	if sc.N < 4 {
 		return fmt.Errorf("exp: n = %d, want >= 4", sc.N)
 	}
 	if sc.K < 2 {
 		return fmt.Errorf("exp: k = %d, want >= 2", sc.K)
-	}
-	switch sc.Bias {
-	case "biased", "gapsqrt", "tinygap", "zipf", "uniform":
-		// Materialize the histogram so a bad bias parameter fails here —
-		// Compile promises eager per-cell validation, and the workload
-		// constructors hold the per-profile parameter rules.
-		if _, err := sc.counts(); err != nil {
-			return fmt.Errorf("exp: bias %s:%v: %w", sc.Bias, sc.BiasParam, err)
-		}
-	default:
-		return fmt.Errorf("exp: unknown bias profile %q", sc.Bias)
 	}
 	switch sc.Topology {
 	case "complete", "cycle":
@@ -180,8 +199,7 @@ func (sc Scenario) Validate() error {
 		// NewGNP patches isolated nodes with one extra uniform edge so the
 		// sampling contract (Degree >= 1) holds. Below (n-1)p = 1 those
 		// patch edges dominate the graph and the cell no longer measures
-		// G(n,p); reject at declaration time, mirroring the crash-injection
-		// guard above.
+		// G(n,p); reject at declaration time.
 		if float64(sc.N-1)*sc.TopologyParam < 1 {
 			return fmt.Errorf("exp: %s topology with (n-1)p = %.3f < 1 is mostly isolated-node patch edges, not G(n,p); raise p or n",
 				sc.Topology, float64(sc.N-1)*sc.TopologyParam)
@@ -200,162 +218,108 @@ func (sc Scenario) Validate() error {
 	default:
 		return fmt.Errorf("exp: unknown topology %q", sc.Topology)
 	}
-	switch sc.Model {
-	case "sequential", "poisson", "heap-poisson":
-	default:
-		return fmt.Errorf("exp: unknown model %q", sc.Model)
-	}
-	if err := sc.validateRuntime(); err != nil {
-		return err
-	}
-	if sc.Crash > 0 {
-		// Mirror the core engine's rule at declaration time so a sweep
-		// cell cannot silently sample crashed neighbors: crash injection
-		// is defined only for the core protocol on the complete graph.
-		if sc.Protocol != "core" {
-			return fmt.Errorf("exp: crash injection is only defined for the core protocol, not %q", sc.Protocol)
-		}
-		if sc.Topology != "complete" {
-			return fmt.Errorf("exp: crash injection requires the complete topology, not %q (crashed nodes remain sampled)", sc.Topology)
-		}
-	}
-	if sc.Crash < 0 || sc.Crash >= 1 {
-		return fmt.Errorf("exp: crash = %v, want [0, 1)", sc.Crash)
-	}
-	if sc.Churn < 0 || sc.Churn >= 1 {
-		return fmt.Errorf("exp: churn = %v, want [0, 1)", sc.Churn)
-	}
 	if sc.DelayRate < 0 {
-		return fmt.Errorf("exp: delayRate = %v, want >= 0", sc.DelayRate)
+		return fmt.Errorf("exp: delayRate = %v, want >= 0 (0 disables response delays)", sc.DelayRate)
 	}
 	if sc.MaxTime < 0 {
 		return fmt.Errorf("exp: maxTime = %v, want >= 0 (0 selects the default budget)", sc.MaxTime)
 	}
-	if _, err := parseLatency(sc.Latency); err != nil {
-		return err
-	}
-	engine, _, err := sc.engineSpec()
-	if err != nil {
-		return err
-	}
-	switch engine {
-	case "", "auto", "per-node":
-	case "occupancy", "leap":
-		// Mirror the engines' collapsibility contract at declaration time.
-		switch {
-		case sc.Protocol == "core":
-			return fmt.Errorf("exp: engine %s is undefined for the core protocol (its working-time schedule is per-node state)", engine)
-		case sc.Model == "heap-poisson":
-			return fmt.Errorf("exp: engine %s with the heap-poisson scheduler would allocate O(n) event state; use poisson (the same process)", engine)
-		case engine == "leap" && sc.Topology != "complete":
-			return fmt.Errorf("exp: engine leap requires the complete topology, not %q", sc.Topology)
-		case sc.Topology != "complete" && sc.Topology != "annealed" && sc.Topology != "annealed-gnp":
-			// Quenched topologies carry per-node wiring that no count
-			// collapse can represent; only the clique (occupancy engine) and
-			// the annealed configuration models (lumped engine) collapse.
-			return fmt.Errorf("exp: engine %s requires a count-collapsible topology (complete, annealed, annealed-gnp), not %q", engine, sc.Topology)
-		case sc.Latency != "" && sc.Latency != "none":
-			return fmt.Errorf("exp: engine %s cannot model edge latencies (per-node pending state)", engine)
-		case sc.DelayRate > 0:
-			return fmt.Errorf("exp: engine %s cannot model response delays (per-node pending state)", engine)
-		}
-		if engine == "leap" {
-			if sc.Churn > 0 {
-				return fmt.Errorf("exp: the leap engine does not support churn; use engine occupancy")
-			}
-			if d, err := plurality.LookupProtocol(sc.Protocol); err == nil && !d.Leapable {
-				return fmt.Errorf("exp: protocol %q exposes no flow law; the leap engine needs one", sc.Protocol)
-			}
-		}
-	default:
-		return fmt.Errorf("exp: unknown engine %q", sc.Engine)
-	}
-	if err := sc.validateAdversary(engine); err != nil {
-		return err
+	if sc.nodeRuntime() && sc.N > maxNodeRuntimeN {
+		return fmt.Errorf("exp: runtime %s runs one process per node; n = %d exceeds the %d-node bound", sc.Runtime, sc.N, maxNodeRuntimeN)
 	}
 	return nil
 }
 
-// nodeRuntime reports whether the scenario runs on the networked node
-// runtime rather than a simulator engine.
-func (sc Scenario) nodeRuntime() bool {
-	return sc.Runtime == "node" || sc.Runtime == "node-tcp"
-}
+// compile turns the scenario into the inputs of a plurality.Job — the
+// protocol spec, the initial counts and the options — for the given trial
+// seed (randomized topologies derive their sample from it). It parses the
+// scenario's own string fields; whether the engine, runtime, topology and
+// injections combine is left to the Job's Validate. It never builds a
+// per-node population.
+func (sc Scenario) compile(seed uint64) (string, []int64, []plurality.Option, error) {
+	fail := func(err error) (string, []int64, []plurality.Option, error) { return "", nil, nil, err }
+	if err := sc.checkFields(); err != nil {
+		return fail(err)
+	}
+	counts, err := sc.counts()
+	if err != nil {
+		return fail(err)
+	}
+	m, err := sc.model()
+	if err != nil {
+		return fail(err)
+	}
+	lat, err := parseLatency(sc.Latency)
+	if err != nil {
+		return fail(err)
+	}
+	adv, err := sc.adversarySpec()
+	if err != nil {
+		return fail(err)
+	}
 
-// validateRuntime mirrors Job.Validate's node-runtime option mapping at
-// declaration time: real node processes execute registered dynamics on the
-// clique under per-node Poisson clocks and nothing else, so every
-// simulator-side injection axis fails the cell at Compile rather than
-// mid-grid.
-func (sc Scenario) validateRuntime() error {
+	opts := []plurality.Option{plurality.WithSeed(seed), plurality.WithModel(m)}
 	switch sc.Runtime {
 	case "", "sim":
-		return nil
 	case "node", "node-tcp":
+		transport := plurality.NewChanTransport()
+		if sc.Runtime == "node-tcp" {
+			transport = plurality.NewTCPTransport(nodeTCPUnit)
+		}
+		opts = append(opts, plurality.WithTransport(transport))
 	default:
-		return fmt.Errorf("exp: unknown runtime %q (want sim, node or node-tcp)", sc.Runtime)
+		return fail(fmt.Errorf("exp: unknown runtime %q (want sim, node or node-tcp)", sc.Runtime))
 	}
-	if sc.Protocol == "core" {
-		return fmt.Errorf("exp: runtime %s cannot execute the core protocol (its bit phases are not a registered message dynamic)", sc.Runtime)
+	switch eps, leap := strings.CutPrefix(sc.Engine, "leap:"); {
+	case sc.Engine == "" || sc.Engine == "auto":
+	case sc.Engine == "per-node":
+		// The core protocol always runs per node; the harness accepts the
+		// redundant spelling for it, which the Job would reject as a no-op.
+		if sc.Protocol != "core" {
+			opts = append(opts, plurality.WithEngine(plurality.EnginePerNode))
+		}
+	case sc.Engine == "occupancy":
+		opts = append(opts, plurality.WithEngine(plurality.EngineOccupancy))
+	case sc.Engine == "leap":
+		opts = append(opts, plurality.WithEngine(plurality.EngineLeap))
+	case leap:
+		v, err := strconv.ParseFloat(eps, 64)
+		if err != nil {
+			return fail(fmt.Errorf("exp: leap engine budget %q, want a number in (0, 0.5]", eps))
+		}
+		opts = append(opts, plurality.WithEngine(plurality.EngineLeap), plurality.WithLeapEpsilon(v))
+	default:
+		return fail(fmt.Errorf("exp: unknown engine %q", sc.Engine))
 	}
 	if sc.Topology != "complete" {
-		return fmt.Errorf("exp: runtime %s requires the complete topology, not %q (live nodes sample peers uniformly)", sc.Runtime, sc.Topology)
+		g, err := sc.graph(seed)
+		if err != nil {
+			return fail(err)
+		}
+		opts = append(opts, plurality.WithGraph(g))
 	}
-	if sc.Model != "poisson" {
-		return fmt.Errorf("exp: runtime %s requires the poisson model, not %q (each node runs a local Exp(1) clock)", sc.Runtime, sc.Model)
+	if sc.MaxTime > 0 {
+		opts = append(opts, plurality.WithMaxTime(sc.MaxTime))
 	}
-	if sc.Engine != "" && sc.Engine != "auto" {
-		return fmt.Errorf("exp: runtime %s runs one process per node; engine %q does not apply", sc.Runtime, sc.Engine)
+	if sc.Crash != 0 {
+		opts = append(opts, plurality.WithCrashes(sc.Crash))
 	}
-	switch {
-	case sc.Crash > 0:
-		return fmt.Errorf("exp: runtime %s does not support crash injection", sc.Runtime)
-	case sc.Churn > 0:
-		return fmt.Errorf("exp: runtime %s does not support churn", sc.Runtime)
-	case sc.DelayRate > 0:
-		return fmt.Errorf("exp: runtime %s does not support response delays (use the transport's own fault injection)", sc.Runtime)
-	case sc.Latency != "" && sc.Latency != "none":
-		return fmt.Errorf("exp: runtime %s does not support edge latencies (use the transport's own fault injection)", sc.Runtime)
-	case sc.Adversary != "" && sc.Adversary != "none":
-		return fmt.Errorf("exp: runtime %s does not support adversaries", sc.Runtime)
+	if sc.Churn != 0 {
+		opts = append(opts, plurality.WithChurn(sc.Churn))
 	}
-	// One goroutine (plus timers and message events) per node: bound n so a
-	// mistyped axis cannot ask the scheduler for millions of processes.
-	const maxNodes = 1 << 16
-	if sc.N > maxNodes {
-		return fmt.Errorf("exp: runtime %s runs one process per node; n = %d exceeds the %d-node bound", sc.Runtime, sc.N, maxNodes)
+	if lat != nil {
+		opts = append(opts, plurality.WithEdgeLatency(lat))
 	}
-	return nil
-}
-
-// validateAdversary mirrors Job.Validate's adversary capability matrix at
-// declaration time, so a sweep cell that pairs an adversary with an engine
-// that cannot host it fails at Compile rather than mid-grid.
-func (sc Scenario) validateAdversary(engine string) error {
-	spec, err := sc.adversarySpec()
-	if err != nil {
-		return err
+	if sc.DelayRate > 0 {
+		opts = append(opts, plurality.WithResponseDelay(sc.DelayRate))
 	}
-	if !spec.Active() {
-		return nil
+	if adv.Name != "" && adv.Name != "none" {
+		// Named but unbudgeted adversaries still reach the Job, so a path
+		// that cannot host adversaries rejects the cell either way; at run
+		// time an inactive spec is bit-identical to none.
+		opts = append(opts, plurality.WithAdversary(adv))
 	}
-	desc, ok := spec.Descriptor()
-	if !ok {
-		return fmt.Errorf("exp: unknown adversary %q", sc.Adversary)
-	}
-	if sc.Protocol == "core" && desc.Family == plurality.AdversaryByzantine {
-		return fmt.Errorf("exp: adversary %s cannot lie to the core protocol (its samples carry bits and real times, not just colors)", desc.Name)
-	}
-	if engine == "leap" {
-		return fmt.Errorf("exp: the leap engine cannot host adversaries (tau-leap batches have no per-event hooks); use engine occupancy or per-node")
-	}
-	if engine == "occupancy" && desc.PerNode {
-		return fmt.Errorf("exp: adversary %s needs per-node identity, which the count-collapsed engine does not track; use engine per-node", desc.Name)
-	}
-	if engine == "occupancy" && sc.Topology != "complete" {
-		return fmt.Errorf("exp: adversary %s cannot run on the degree-class lumped engine (topology %q); use engine per-node", desc.Name, sc.Topology)
-	}
-	return nil
+	return sc.Protocol, counts, opts, nil
 }
 
 // adversarySpec resolves the Adversary/Budget pair into a budgeted spec
@@ -427,20 +391,6 @@ func parseBudget(s string, n int) (int64, error) {
 	return v, nil
 }
 
-// engineSpec splits Scenario.Engine into the engine name and — for the
-// "leap:<eps>" spelling — the explicit tau-leap error budget (0 means the
-// engine default).
-func (sc Scenario) engineSpec() (engine string, leapEps float64, err error) {
-	if eps, ok := strings.CutPrefix(sc.Engine, "leap:"); ok {
-		v, perr := strconv.ParseFloat(eps, 64)
-		if perr != nil || math.IsNaN(v) || v <= 0 || v > 0.5 {
-			return "", 0, fmt.Errorf("exp: leap engine budget %q, want a number in (0, 0.5]", eps)
-		}
-		return "leap", v, nil
-	}
-	return sc.Engine, 0, nil
-}
-
 // parseLatency decodes a Scenario.Latency string into an edge-latency
 // model; "" and "none" mean nil (instant edges).
 func parseLatency(s string) (plurality.EdgeLatency, error) {
@@ -473,22 +423,31 @@ func parseLatency(s string) (plurality.EdgeLatency, error) {
 	}
 }
 
-// counts materializes the scenario's initial color histogram.
+// counts materializes the scenario's initial color histogram; the workload
+// constructors hold the per-profile parameter rules.
 func (sc Scenario) counts() ([]int64, error) {
+	var (
+		counts []int64
+		err    error
+	)
 	switch sc.Bias {
 	case "biased":
-		return plurality.Biased(sc.N, sc.K, sc.BiasParam)
+		counts, err = plurality.Biased(sc.N, sc.K, sc.BiasParam)
 	case "gapsqrt":
-		return plurality.GapSqrt(sc.N, sc.K, sc.BiasParam)
+		counts, err = plurality.GapSqrt(sc.N, sc.K, sc.BiasParam)
 	case "tinygap":
-		return plurality.TinyGap(sc.N, sc.K, sc.BiasParam)
+		counts, err = plurality.TinyGap(sc.N, sc.K, sc.BiasParam)
 	case "zipf":
-		return plurality.Zipf(sc.N, sc.K, sc.BiasParam)
+		counts, err = plurality.Zipf(sc.N, sc.K, sc.BiasParam)
 	case "uniform":
-		return plurality.Uniform(sc.N, sc.K)
+		counts, err = plurality.Uniform(sc.N, sc.K)
 	default:
 		return nil, fmt.Errorf("exp: unknown bias profile %q", sc.Bias)
 	}
+	if err != nil {
+		return nil, fmt.Errorf("exp: bias %s:%v: %w", sc.Bias, sc.BiasParam, err)
+	}
+	return counts, nil
 }
 
 // graph materializes the scenario's topology. Randomized topologies derive
@@ -556,197 +515,47 @@ func RunScenario(sc Scenario, seed uint64) (Trial, error) {
 // error: it returns a Trial with Done == false so sweeps can record the
 // failure rate. Cancellation and invalid configurations abort.
 func RunScenarioCtx(ctx context.Context, sc Scenario, seed uint64) (Trial, error) {
-	if err := sc.Validate(); err != nil {
-		return Trial{}, err
-	}
-	counts, err := sc.counts()
+	protocol, counts, opts, err := sc.compile(seed)
 	if err != nil {
 		return Trial{}, err
 	}
-	if sc.nodeRuntime() {
-		// Networked cells run real node processes through the public
-		// Cluster path; like the counts path they never shuffle a
-		// population (the clique is exchangeable, so block placement is
-		// statistically irrelevant).
-		return runNodeScenario(ctx, sc, counts, seed)
+	job, err := plurality.NewJob(protocol, counts, opts...)
+	if err != nil {
+		return Trial{}, fmt.Errorf("exp: %w", err)
 	}
-	if engine, _, _ := sc.engineSpec(); engine == "occupancy" || engine == "leap" {
-		// The count-collapsed cells never materialize a population: O(k)
-		// memory regardless of n, so a 10⁸-node cell costs as much as a
-		// 10³-node one. Node placement is irrelevant on the clique, hence
-		// no Shuffle either.
-		return runCountsScenario(ctx, sc, counts, seed)
+	// The workloads designate the most frequent color (lowest index on
+	// ties) as the plurality, same rule as Population.Plurality.
+	plurColor := plurality.Color(0)
+	for c := 1; c < len(counts); c++ {
+		if counts[c] > counts[plurColor] {
+			plurColor = plurality.Color(c)
+		}
+	}
+	if sc.fromCounts() {
+		rep, err := job.Run(ctx)
+		return trialFromReport(sc, rep, plurColor, err)
 	}
 	pop, err := plurality.NewPopulation(counts)
 	if err != nil {
 		return Trial{}, err
 	}
-	// The workloads designate the most frequent color (lowest index on
-	// ties) as the plurality; Shuffle below permutes holders, not counts.
-	plurColor := pop.Plurality()
 	// FromCounts assigns colors in contiguous index blocks, which spatial
 	// topologies would read as adversarially clustered opinions; shuffle
-	// so every topology starts from a uniformly random placement.
+	// so every topology starts from a uniformly random placement. The job
+	// then runs on the prepared population (RunOn) rather than from its
+	// bound counts.
 	pop.Shuffle(rng.At(seed, shuffleStream))
-
-	g, err := sc.graph(seed)
-	if err != nil {
-		return Trial{}, err
-	}
-	m, err := sc.model()
-	if err != nil {
-		return Trial{}, err
-	}
-	lat, err := parseLatency(sc.Latency)
-	if err != nil {
-		return Trial{}, err
-	}
-
-	opts := []plurality.Option{
-		plurality.WithSeed(seed),
-		plurality.WithModel(m),
-		plurality.WithGraph(g),
-	}
-	if sc.MaxTime > 0 {
-		opts = append(opts, plurality.WithMaxTime(sc.MaxTime))
-	}
-	if sc.Crash > 0 {
-		opts = append(opts, plurality.WithCrashes(sc.Crash))
-	}
-	if sc.Churn > 0 {
-		opts = append(opts, plurality.WithChurn(sc.Churn))
-	}
-	if lat != nil {
-		opts = append(opts, plurality.WithEdgeLatency(lat))
-	}
-	if sc.DelayRate > 0 {
-		opts = append(opts, plurality.WithResponseDelay(sc.DelayRate))
-	}
-	if adv, err := sc.adversarySpec(); err != nil {
-		return Trial{}, err
-	} else if adv.Active() {
-		opts = append(opts, plurality.WithAdversary(adv))
-	}
-	if sc.Engine == "per-node" && sc.Protocol != "core" {
-		// The core protocol always runs per node (Scenario.Validate accepts
-		// the redundant engine spelling for it, as it always has); the
-		// strict Job layer would reject the no-op option.
-		opts = append(opts, plurality.WithEngine(plurality.EnginePerNode))
-	}
-
-	// The shuffled placement matters on spatial topologies, so the job
-	// runs on the prepared population (RunOn) rather than from its bound
-	// counts; fixed-seed results are bit-identical to the legacy RunX
-	// calls, which share the same execution layer.
-	job, err := plurality.NewJob(sc.Protocol, counts, opts...)
-	if err != nil {
-		return Trial{}, err
-	}
 	rep, err := job.RunOn(ctx, pop)
 	return trialFromReport(sc, rep, plurColor, err)
 }
 
 // nodeTCPUnit is the simulated-time unit for runtime=node-tcp cells: 2ms of
 // wall clock per time unit keeps a smoke cell inside CI budgets while still
-// exercising real sockets end to end.
+// exercising real sockets end to end. The trial's Time on the node runtime
+// is the cluster's consensus instant — the same observable the simulator
+// reports — not the longer halting tail the termination gadget adds after
+// it.
 const nodeTCPUnit = 2 * time.Millisecond
-
-// runNodeScenario executes one trial on the networked node runtime: one
-// goroutine-backed process per node, pulling opinions over the scenario's
-// transport ("node" = the deterministic in-process fabric, "node-tcp" =
-// loopback TCP). The trial's Time is the cluster's consensus instant — the
-// same observable the simulator reports — not the longer halting tail the
-// termination gadget adds after it.
-func runNodeScenario(ctx context.Context, sc Scenario, counts []int64, seed uint64) (Trial, error) {
-	// The workloads designate the most frequent color (lowest index on
-	// ties) as the plurality, same rule as Population.Plurality.
-	plurColor := plurality.Color(0)
-	for c := 1; c < len(counts); c++ {
-		if counts[c] > counts[plurColor] {
-			plurColor = plurality.Color(c)
-		}
-	}
-	var transport plurality.Transport
-	if sc.Runtime == "node-tcp" {
-		transport = plurality.NewTCPTransport(nodeTCPUnit)
-	} else {
-		transport = plurality.NewChanTransport()
-	}
-	opts := []plurality.Option{
-		plurality.WithSeed(seed),
-		plurality.WithModel(plurality.Poisson),
-		plurality.WithTransport(transport),
-	}
-	if sc.MaxTime > 0 {
-		opts = append(opts, plurality.WithMaxTime(sc.MaxTime))
-	}
-	job, err := plurality.NewJob(sc.Protocol, counts, opts...)
-	if err != nil {
-		return Trial{}, err
-	}
-	rep, err := job.Run(ctx)
-	return trialFromReport(sc, rep, plurColor, err)
-}
-
-// runCountsScenario executes one count-collapsed trial (occupancy or leap
-// engine) directly on the color histogram.
-func runCountsScenario(ctx context.Context, sc Scenario, counts []int64, seed uint64) (Trial, error) {
-	// The workloads designate the most frequent color (lowest index on
-	// ties) as the plurality, same rule as Population.Plurality.
-	plurColor := plurality.Color(0)
-	for c := 1; c < len(counts); c++ {
-		if counts[c] > counts[plurColor] {
-			plurColor = plurality.Color(c)
-		}
-	}
-	m, err := sc.model()
-	if err != nil {
-		return Trial{}, err
-	}
-	engine, leapEps, err := sc.engineSpec()
-	if err != nil {
-		return Trial{}, err
-	}
-	engOpt := plurality.EngineOccupancy
-	if engine == "leap" {
-		engOpt = plurality.EngineLeap
-	}
-	opts := []plurality.Option{
-		plurality.WithSeed(seed),
-		plurality.WithModel(m),
-		plurality.WithEngine(engOpt),
-	}
-	if sc.Topology != "complete" {
-		// Annealed topologies collapse to the degree-class lumped engine;
-		// the counts run needs the graph to read the class structure, but
-		// still no per-node population.
-		g, err := sc.graph(seed)
-		if err != nil {
-			return Trial{}, err
-		}
-		opts = append(opts, plurality.WithGraph(g))
-	}
-	if leapEps > 0 {
-		opts = append(opts, plurality.WithLeapEpsilon(leapEps))
-	}
-	if sc.MaxTime > 0 {
-		opts = append(opts, plurality.WithMaxTime(sc.MaxTime))
-	}
-	if sc.Churn > 0 {
-		opts = append(opts, plurality.WithChurn(sc.Churn))
-	}
-	if adv, err := sc.adversarySpec(); err != nil {
-		return Trial{}, err
-	} else if adv.Active() {
-		opts = append(opts, plurality.WithAdversary(adv))
-	}
-	job, err := plurality.NewJob(sc.Protocol, counts, opts...)
-	if err != nil {
-		return Trial{}, err
-	}
-	rep, err := job.Run(ctx)
-	return trialFromReport(sc, rep, plurColor, err)
-}
 
 // trialFromReport maps a Job report onto the harness's Trial, tolerating
 // the convergence-failure sentinels (a timed-out cell is data, not an

@@ -38,12 +38,12 @@ import (
 // EngineOccupancy) they execute count-collapsed in O(k) memory without ever
 // materializing a per-node population.
 //
-// Unlike the legacy RunX entry points, NewJob validates eagerly: options the
-// selected runner would silently ignore are rejected (see Validate), as are
-// malformed counts, unknown protocols and bad parameters. Execution is
-// context-aware — cancellation and deadlines are honored inside every
-// engine loop — and a Job is immutable after construction, so it is safe to
-// share across goroutines (each Run builds fresh run state).
+// NewJob validates eagerly: options the selected runner would silently
+// ignore are rejected (see Validate), as are malformed counts, unknown
+// protocols and bad parameters. Execution is context-aware — cancellation
+// and deadlines are honored inside every engine loop — and a Job is
+// immutable after construction, so it is safe to share across goroutines
+// (each Run builds fresh run state).
 type Job struct {
 	spec   string
 	kind   Kind
@@ -67,9 +67,8 @@ func NewJob(spec string, counts []int64, opts ...Option) (*Job, error) {
 	return j, nil
 }
 
-// newJob resolves the spec and binds the counts without the strict option
-// validation (the legacy shims accept — and ignore — foreign options, which
-// Validate would reject).
+// newJob resolves the spec and binds the counts; NewJob validates the
+// result.
 func newJob(spec string, counts []int64, o *options) (*Job, error) {
 	j := &Job{spec: spec, counts: slices.Clone(counts), o: o}
 	for _, v := range j.counts {
@@ -108,97 +107,202 @@ func (j *Job) N() int64 { return j.total }
 // (O(k) memory, no per-node population): an asynchronous dynamic with the
 // occupancy or leap engine required.
 func (j *Job) countsPath() bool {
-	return j.kind == KindDynamic && (j.o.engine == EngineOccupancy || j.o.engine == EngineLeap)
+	p := j.path()
+	return p == pathCounts || p == pathLeap
 }
 
-// Per-kind masks of the options each runner actually consumes; everything
-// outside the mask is rejected by Validate instead of silently dropped.
-var (
-	commonOptMask = maskOf(idSeed, idTrialWorkers, idObserver)
-	coreOptMask   = commonOptMask | maskOf(idModel, idMaxTime, idResponseDelay,
-		idEdgeLatency, idChurn, idGraph, idProbe, idDelta, idPhases,
-		idGadgetSamples, idEndgameTicks, idNoSyncGadget, idEndgameOnly,
-		idRunToHalt, idCrashes, idDesync, idAdversary)
-	asyncOptMask = commonOptMask | maskOf(idModel, idMaxTime, idResponseDelay,
-		idEdgeLatency, idChurn, idGraph, idEngine, idAdversary)
-	countsOptMask = commonOptMask | maskOf(idModel, idMaxTime, idChurn,
-		idGraph, idEngine, idAdversary)
-	// The hybrid leap engine is churn-free and adversary-free by
-	// construction (both break its flow laws), and its two error-budget
-	// knobs apply only to it.
-	leapOptMask = commonOptMask | maskOf(idModel, idMaxTime, idGraph,
-		idEngine, idLeapEps, idODEThreshold)
-	syncOptMask   = commonOptMask | maskOf(idModel, idMaxRounds, idGraph, idAdversary)
-	oneBitOptMask = commonOptMask | maskOf(idGraph, idMaxRounds, idMaxPhases,
-		idPropagationRounds, idPhaseObserver)
-	// The node runtime (WithTransport) executes registry dynamics as live
-	// message-passing processes; it consumes only the options a real
-	// cluster can honor — note idObserver is out (no global tick stream to
-	// snapshot from).
-	nodeOptMask = maskOf(idSeed, idTrialWorkers, idModel, idMaxTime, idTransport)
+// execPath is one execution path a job compiles to; capabilities holds
+// what each path accepts.
+type execPath int
+
+const (
+	pathCore   execPath = iota // the core protocol (Theorem 1.3)
+	pathAsync                  // asynchronous dynamics, per node or EngineAuto
+	pathCounts                 // EngineOccupancy: occupancy on the clique, lumped on classed graphs
+	pathLeap                   // EngineLeap: the hybrid tau-leap/mean-field engine
+	pathSync                   // synchronous rounds (WithModel(Synchronous))
+	pathOneBit                 // OneExtraBit (Theorem 1.2)
+	pathNode                   // the node runtime (WithTransport)
+	numPaths
 )
 
-// nodeOptReasons maps each simulator-only option to why the node runtime
-// cannot honor it, mirroring the leap engine's optID-mask rejections but
-// with per-option explanations: a live cluster has no global scheduler,
-// no global view, and owns its delay model through the transport.
-var nodeOptReasons = map[optID]string{
-	idMaxRounds:     "rounds are a synchronous-model notion; live nodes run on local Poisson clocks",
-	idResponseDelay: "response delays are a transport property on the node runtime; inject latency with NewLossyChanTransport",
-	idEdgeLatency:   "edge latencies are a transport property on the node runtime; inject latency with NewLossyChanTransport",
-	idChurn:         "churn rewrites the simulator's engine state mid-run; a live node cannot be re-randomized from outside",
-	idEngine:        "engines select simulator execution strategies; the node runtime is its own execution path",
-	idGraph:         "the node runtime samples the complete graph (every peer addressable); topologies are simulator-only",
-	idObserver:      "snapshot observation rides the simulator's global tick hook (OnTick); a live cluster has no global view to sample",
-	idCrashes:       "crash schedules are applied by the simulator's scheduler, which the node runtime replaces",
-	idDesync:        "desynchronized starts are a core-protocol scheduler feature, not a cluster one",
-	idLeapEps:       "the leap engine's error budget does not apply off the simulator",
-	idODEThreshold:  "the leap engine's ODE handoff does not apply off the simulator",
-	idAdversary:     "adversaries instrument the simulator's global scheduler and engine state, which live nodes do not share",
-}
-
-// Validate checks the job end to end without running anything: the counts
-// (shape, totals, per-engine limits), the protocol parameters, the graph
-// binding, and — unlike the legacy RunX entry points, which silently drop
-// options their runner does not consume — that every applied option is one
-// the selected runner/engine actually uses.
-func (j *Job) Validate() error {
-	if j.o.set&maskOf(idTransport) != 0 {
-		if err := j.validateNodeRuntime(); err != nil {
-			return err
-		}
-	}
-	var allowed uint32
+// path resolves the execution path the job's kind and options select.
+func (j *Job) path() execPath {
 	switch j.kind {
 	case KindCore:
-		allowed = coreOptMask
-	case KindDynamic:
-		switch {
-		case j.o.set&maskOf(idTransport) != 0:
-			allowed = nodeOptMask
-		case j.o.engine == EngineOccupancy:
-			allowed = countsOptMask
-		case j.o.engine == EngineLeap:
-			allowed = leapOptMask
-		default:
-			allowed = asyncOptMask
-		}
+		return pathCore
 	case KindSyncDynamic:
-		allowed = syncOptMask
+		return pathSync
 	case KindOneExtraBit:
-		allowed = oneBitOptMask
-	default:
-		return fmt.Errorf("plurality: job %q has unknown kind %d", j.spec, j.kind)
+		return pathOneBit
 	}
-	if bad := j.o.set &^ allowed; bad != 0 {
-		var names []string
+	switch {
+	case j.o.set&maskOf(idTransport) != 0:
+		return pathNode
+	case j.o.engine == EngineOccupancy:
+		return pathCounts
+	case j.o.engine == EngineLeap:
+		return pathLeap
+	}
+	return pathAsync
+}
+
+// capability is one path's entry in the capability table: the options the
+// path consumes, why it rejects the others, and which active adversaries
+// it cannot host.
+type capability struct {
+	name    string           // how diagnostics name the path
+	allowed uint32           // mask of the optIDs the path consumes
+	reasons map[optID]string // per-path rejection reasons (overriding optReasons)
+	adv     []advRule
+}
+
+// advRule rejects an active adversary: one of the given family (0 matches
+// every family), restricted to per-node adversaries (perNode) and to runs
+// on the degree-class lumped engine (lumped) when set. The reason is
+// formatted with the adversary's name.
+type advRule struct {
+	family  adversary.Family
+	perNode bool
+	lumped  bool
+	reason  string
+}
+
+// commonOpts are consumed by every simulator path.
+var commonOpts = maskOf(idSeed, idTrialWorkers, idObserver)
+
+// capabilities is the single source of the engine × option × adversary ×
+// runtime rules: Validate rejects every applied option outside the path's
+// mask, with the path's reason, and every active adversary an advRule
+// matches. Adding an execution path is one entry here.
+var capabilities = [numPaths]capability{
+	pathCore: {
+		name: "core protocol",
+		allowed: commonOpts | maskOf(idModel, idMaxTime, idResponseDelay,
+			idEdgeLatency, idChurn, idGraph, idProbe, idDelta, idPhases,
+			idGadgetSamples, idEndgameTicks, idNoSyncGadget, idEndgameOnly,
+			idRunToHalt, idCrashes, idDesync, idAdversary),
+		reasons: map[optID]string{
+			idEngine:    "the core protocol always runs per node; its working-time schedule is per-node state",
+			idTransport: "the node runtime runs asynchronous registry sampling dynamics only; the core protocol executes on the simulator",
+		},
+		adv: []advRule{{family: adversary.FamilyByzantine,
+			reason: "the %s adversary has no lying channel in the core protocol: it cannot lie to samples that carry bits and real times alongside colors; use a registry sampling dynamic"}},
+	},
+	pathAsync: {
+		name: "asynchronous dynamics engine",
+		allowed: commonOpts | maskOf(idModel, idMaxTime, idResponseDelay,
+			idEdgeLatency, idChurn, idGraph, idEngine, idAdversary),
+	},
+	pathCounts: {
+		name:    "count-collapsed engine",
+		allowed: commonOpts | maskOf(idModel, idMaxTime, idChurn, idGraph, idEngine, idAdversary),
+		adv: []advRule{
+			{perNode: true, reason: "adversary %s targets individual nodes, which the count-collapsed engine does not track; use the per-node engine (EnginePerNode) or EngineAuto"},
+			{lumped: true, reason: "adversary %s cannot run on the degree-class lumped engine, which has no per-event hooks; use the per-node engine (EnginePerNode) or EngineAuto"},
+		},
+	},
+	pathLeap: {
+		name:    "leap engine",
+		allowed: commonOpts | maskOf(idModel, idMaxTime, idGraph, idEngine, idLeapEps, idODEThreshold),
+		reasons: map[optID]string{
+			idChurn:     "the leap engine is churn-free by construction (churn breaks its flow laws); use EngineOccupancy",
+			idAdversary: "the leap engine cannot host adversaries (tau-leap batches have no per-event hooks); use EngineOccupancy or EnginePerNode",
+		},
+	},
+	pathSync: {
+		name:    "synchronous round engine",
+		allowed: commonOpts | maskOf(idModel, idMaxRounds, idGraph, idAdversary),
+		reasons: map[optID]string{
+			idMaxTime:   "synchronous runs are bounded in rounds; use WithMaxRounds",
+			idTransport: "the node runtime runs on per-node Poisson clocks; synchronous rounds execute on the simulator",
+		},
+		adv: []advRule{{family: adversary.FamilyScheduling,
+			reason: "scheduling adversary %s needs asynchronous activations; synchronous rounds have no activation order to bias"}},
+	},
+	pathOneBit: {
+		name:    "OneExtraBit runner",
+		allowed: commonOpts | maskOf(idGraph, idMaxRounds, idMaxPhases, idPropagationRounds),
+		reasons: map[optID]string{
+			idModel:     "OneExtraBit is a synchronous protocol by definition",
+			idMaxTime:   "OneExtraBit is bounded in phases; use WithMaxPhases",
+			idTransport: "the node runtime runs asynchronous registry sampling dynamics only; OneExtraBit executes on the simulator",
+		},
+	},
+	pathNode: {
+		// The node runtime executes registry dynamics as live
+		// message-passing processes: a live cluster has no global
+		// scheduler, no global view, and owns its delay model through the
+		// transport.
+		name:    "node runtime",
+		allowed: maskOf(idSeed, idTrialWorkers, idModel, idMaxTime, idTransport),
+		reasons: map[optID]string{
+			idMaxRounds:     "rounds are a synchronous-model notion; live nodes run on local Poisson clocks",
+			idResponseDelay: "response delays are a transport property on the node runtime; inject latency with NewLossyChanTransport",
+			idEdgeLatency:   "edge latencies are a transport property on the node runtime; inject latency with NewLossyChanTransport",
+			idChurn:         "churn rewrites the simulator's engine state mid-run; a live node cannot be re-randomized from outside",
+			idEngine:        "engine selection does not apply: engines are simulator execution strategies, and the node runtime is its own execution path",
+			idGraph:         "the node runtime samples the complete topology (every peer addressable); other topologies are simulator-only",
+			idObserver:      "snapshot observation rides the simulator's global tick hook (OnTick); a live cluster has no global view to sample",
+			idCrashes:       "crash schedules are applied by the simulator's scheduler, which the node runtime replaces",
+			idDesync:        "desynchronized starts are a core-protocol scheduler feature, not a cluster one",
+			idLeapEps:       "the leap engine's error budget does not apply off the simulator",
+			idODEThreshold:  "the leap engine's ODE handoff does not apply off the simulator",
+			idAdversary:     "adversaries instrument the simulator's global scheduler and engine state, which live nodes do not share",
+		},
+	},
+}
+
+// optReasons is the default explanation for an option a path rejects: the
+// paths that do consume it.
+var optReasons = [numOptIDs]string{
+	idModel:             "it selects an asynchronous schedule",
+	idMaxTime:           "it bounds asynchronous runs in parallel time",
+	idMaxRounds:         "it bounds synchronous runs (WithModel(Synchronous), onebit)",
+	idResponseDelay:     "response delays need per-node pending state (the core protocol or the per-node engine)",
+	idEdgeLatency:       "edge latencies need per-node pending state (the core protocol or the per-node engine)",
+	idChurn:             "churn applies to the asynchronous simulator engines",
+	idEngine:            "engines select how asynchronous sampling dynamics execute",
+	idProbe:             "sync-quality probes observe the core protocol only",
+	idDelta:             "it tunes the core protocol's schedule",
+	idPhases:            "it tunes the core protocol's schedule",
+	idGadgetSamples:     "it tunes the core protocol's Sync Gadget",
+	idEndgameTicks:      "it tunes the core protocol's endgame",
+	idPropagationRounds: "it tunes OneExtraBit's Bit-Propagation",
+	idMaxPhases:         "it bounds OneExtraBit runs",
+	idNoSyncGadget:      "it ablates the core protocol's Sync Gadget",
+	idEndgameOnly:       "it configures the core protocol's endgame",
+	idRunToHalt:         "it configures the core protocol's termination",
+	idCrashes:           "crash injection is defined only for the core protocol",
+	idDesync:            "desynchronized starts are a core-protocol feature",
+	idLeapEps:           "it tunes the leap engine only (WithEngine(EngineLeap))",
+	idODEThreshold:      "it tunes the leap engine only (WithEngine(EngineLeap))",
+	idAdversary:         "the runner has no adversary hooks",
+	idTransport:         "the node runtime runs asynchronous registry sampling dynamics only (two-choices, voter, 3-majority, usd, j-majority)",
+}
+
+// Validate checks the job end to end without running anything: every
+// applied option against the capability table entry of the path the job
+// compiles to (options the path would not consume are errors, never
+// silently dropped), the counts (shape, totals, per-engine limits), the
+// protocol parameters and the graph binding.
+func (j *Job) Validate() error {
+	p := j.path()
+	c := &capabilities[p]
+	if bad := j.o.set &^ c.allowed; bad != 0 {
+		var parts []string
 		for id := optID(0); id < numOptIDs; id++ {
-			if bad&(1<<id) != 0 {
-				names = append(names, optNames[id])
+			if bad&(1<<id) == 0 {
+				continue
 			}
+			reason := c.reasons[id]
+			if reason == "" {
+				reason = optReasons[id]
+			}
+			parts = append(parts, fmt.Sprintf("%s (%s)", optNames[id], reason))
 		}
-		return fmt.Errorf("plurality: a %s job (%s) does not use %s; the option(s) would be silently ignored",
-			j.kind, j.spec, strings.Join(names, ", "))
+		return fmt.Errorf("plurality: job %s: the %s does not use %s; the option(s) would be silently ignored",
+			j.spec, c.name, strings.Join(parts, "; "))
 	}
 
 	// Counts: non-negative, a workable total that fits the schedulers'
@@ -220,40 +324,46 @@ func (j *Job) Validate() error {
 	if g := j.o.graph; g != nil && int64(g.N()) != j.total {
 		return fmt.Errorf("plurality: job %s: graph has %d nodes, histogram %d", j.spec, g.N(), j.total)
 	}
-	if err := j.validateAdversary(); err != nil {
+	if r := j.o.churnRate; j.o.set&maskOf(idChurn) != 0 && !(r >= 0 && r < 1) {
+		return fmt.Errorf("plurality: job %s: WithChurn(%v): the churn rate must lie in [0, 1)", j.spec, r)
+	}
+	if err := j.validateAdversary(c); err != nil {
 		return err
 	}
 
-	switch j.kind {
-	case KindCore:
+	switch p {
+	case pathCore:
 		if j.o.model == Synchronous {
 			return errors.New("plurality: the core protocol is asynchronous; WithModel(Synchronous) applies to registry sampling dynamics")
 		}
-		if _, err := core.Plan(j.o.coreConfig(nil), int(j.total)); err != nil {
+		// The engine's own configuration checks, against the job's graph.
+		cfg := j.o.coreConfig(j.o.graph)
+		if err := cfg.Validate(); err != nil {
+			return fmt.Errorf("plurality: job %s: %w", j.spec, err)
+		}
+		if _, err := core.Plan(cfg, int(j.total)); err != nil {
 			return err
 		}
-	case KindDynamic:
-		if j.o.engine == EngineOccupancy || j.o.engine == EngineLeap {
-			if _, err := j.desc.ValidateCounts(j.counts, j.o.model == HeapPoisson); err != nil {
-				return err
+	case pathCounts, pathLeap:
+		if _, err := j.desc.ValidateCounts(j.counts, j.o.model == HeapPoisson); err != nil {
+			return err
+		}
+		// Counts runs execute count-collapsed by definition: the clique
+		// collapses to the color histogram, a degree-class lumpable
+		// (graph.Classed) topology to the class × color matrix. Quenched
+		// non-complete topologies have neither symmetry, and the leap
+		// engine's flow laws are clique-only.
+		if g := j.o.graph; g != nil {
+			_, complete := g.(graph.Complete)
+			_, classed := g.(graph.Classed)
+			if p == pathLeap && !complete {
+				return fmt.Errorf("plurality: job %s: the leap engine needs the complete topology, got %T", j.spec, g)
 			}
-			// Counts runs execute count-collapsed by definition: the clique
-			// collapses to the color histogram, a degree-class lumpable
-			// (graph.Classed) topology to the class × color matrix. Quenched
-			// non-complete topologies have neither symmetry, and the leap
-			// engine's flow laws are clique-only.
-			if g := j.o.graph; g != nil {
-				_, complete := g.(graph.Complete)
-				_, classed := g.(graph.Classed)
-				if j.o.engine == EngineLeap && !complete {
-					return fmt.Errorf("plurality: job %s: the leap engine needs the complete graph, got %T", j.spec, g)
-				}
-				if !complete && !classed {
-					return fmt.Errorf("plurality: job %s: a counts job needs the complete graph or a degree-class lumpable topology (AnnealedRegularGraph, AnnealedGraph), got %T", j.spec, g)
-				}
+			if !complete && !classed {
+				return fmt.Errorf("plurality: job %s: a counts job needs a count-collapsible topology (the complete graph, or a degree-class lumpable one: AnnealedRegularGraph, AnnealedGraph), got %T", j.spec, g)
 			}
 		}
-		if j.o.engine == EngineLeap {
+		if p == pathLeap {
 			if !j.desc.Leapable {
 				return fmt.Errorf("plurality: job %s: protocol %s has no flow law; the leap engine needs one", j.spec, j.desc.Name)
 			}
@@ -267,12 +377,19 @@ func (j *Job) Validate() error {
 				return fmt.Errorf("plurality: job %s: WithODEThreshold(%v), want < 1 (0 disables the ODE regime)", j.spec, th)
 			}
 		}
-	case KindSyncDynamic:
+	case pathSync:
 		if j.o.maxRounds <= 0 {
 			return fmt.Errorf("plurality: job %s: MaxRounds = %d, want > 0", j.spec, j.o.maxRounds)
 		}
+	case pathNode:
+		if j.o.transport == nil {
+			return fmt.Errorf("plurality: job %s: WithTransport(nil); the node runtime needs a transport (NewChanTransport, NewLossyChanTransport, NewTCPTransport)", j.spec)
+		}
+		if j.o.set&maskOf(idModel) != 0 && j.o.model != Poisson {
+			return fmt.Errorf("plurality: job %s: the node runtime's clocks are per-node Poisson processes; WithModel selects a simulator schedule — use the poisson model (WithModel(Poisson)) or omit the option", j.spec)
+		}
 	}
-	if j.kind != KindSyncDynamic && j.kind != KindOneExtraBit {
+	if p != pathSync && p != pathOneBit {
 		if j.o.maxTime <= 0 {
 			return fmt.Errorf("plurality: job %s: MaxTime = %v, want > 0", j.spec, j.o.maxTime)
 		}
@@ -283,44 +400,9 @@ func (j *Job) Validate() error {
 	return nil
 }
 
-// validateNodeRuntime checks a WithTransport job beyond the optID mask:
-// only registry sampling dynamics can run as live clusters, the implied
-// communication model is per-node Poisson clocks, and every simulator-only
-// option is rejected with its mapped reason so the caller learns why the
-// node runtime cannot honor it instead of getting a bare mask error.
-func (j *Job) validateNodeRuntime() error {
-	if j.o.transport == nil {
-		return fmt.Errorf("plurality: job %s: WithTransport(nil); the node runtime needs a transport (NewChanTransport, NewLossyChanTransport, NewTCPTransport)", j.spec)
-	}
-	if j.kind != KindDynamic {
-		return fmt.Errorf("plurality: job %s: the node runtime (WithTransport) runs asynchronous registry sampling dynamics only (two-choices, voter, 3-majority, usd, j-majority); a %s job executes on the simulator", j.spec, j.kind)
-	}
-	if bad := j.o.set &^ nodeOptMask; bad != 0 {
-		var parts []string
-		for id := optID(0); id < numOptIDs; id++ {
-			if bad&(1<<id) == 0 {
-				continue
-			}
-			reason := nodeOptReasons[id]
-			if reason == "" {
-				reason = "it configures a simulator-only feature"
-			}
-			parts = append(parts, fmt.Sprintf("%s (%s)", optNames[id], reason))
-		}
-		return fmt.Errorf("plurality: job %s: the node runtime does not support %s",
-			j.spec, strings.Join(parts, "; "))
-	}
-	if j.o.set&maskOf(idModel) != 0 && j.o.model != Poisson {
-		return fmt.Errorf("plurality: job %s: the node runtime's clocks are per-node Poisson processes; WithModel selects a simulator schedule — use WithModel(Poisson) or omit the option", j.spec)
-	}
-	return nil
-}
-
-// validateAdversary checks an applied WithAdversary spec against the job's
-// runner family and engine, beyond the optID mask (which already rejects it
-// wholesale on the leap engine and OneExtraBit). The checks mirror the
-// engines' own run-time rejections so a bad combination fails at NewJob.
-func (j *Job) validateAdversary() error {
+// validateAdversary checks an applied WithAdversary spec and, when it is
+// active, the path's adversary rules.
+func (j *Job) validateAdversary(c *capability) error {
 	if j.o.set&maskOf(idAdversary) == 0 {
 		return nil
 	}
@@ -332,18 +414,11 @@ func (j *Job) validateAdversary() error {
 		return nil
 	}
 	d, _ := spec.Descriptor()
-	switch j.kind {
-	case KindCore:
-		if d.Family == adversary.FamilyByzantine {
-			return fmt.Errorf("plurality: job %s: the %s adversary has no lying channel in the core protocol (samples carry bits and real times alongside colors); use a registry sampling dynamic", j.spec, d.Name)
-		}
-	case KindSyncDynamic:
-		if d.Family == adversary.FamilyScheduling {
-			return fmt.Errorf("plurality: job %s: scheduling adversary %s needs asynchronous activations; synchronous rounds have no activation order to bias", j.spec, d.Name)
-		}
-	case KindDynamic:
-		if d.PerNode && (j.o.engine == EngineOccupancy || j.o.engine == EngineLeap) {
-			return fmt.Errorf("plurality: job %s: adversary %s targets individual nodes, which the count-collapsed engine does not track; use EnginePerNode or EngineAuto", j.spec, d.Name)
+	_, complete := j.o.graph.(graph.Complete)
+	lumped := j.o.graph != nil && !complete
+	for _, r := range c.adv {
+		if (r.family == 0 || r.family == d.Family) && (!r.perNode || d.PerNode) && (!r.lumped || lumped) {
+			return fmt.Errorf("plurality: job %s: %s", j.spec, fmt.Sprintf(r.reason, d.Name))
 		}
 	}
 	return nil
@@ -354,12 +429,11 @@ func (j *Job) validateAdversary() error {
 // core schedule, the per-node dynamics, the count-collapsed leap/tick
 // modes, the synchronous round loop, OneExtraBit's phases) and surfaces as
 // a context error wrapping the progress made so far. Convergence failures
-// keep the legacy sentinels: errors.Is(err, ErrNoConsensus | ErrTimeLimit |
+// surface as the sentinels: errors.Is(err, ErrNoConsensus | ErrTimeLimit |
 // ErrPhaseLimit). The returned Report is meaningful in every error case.
 //
 // Run never mutates the job; concurrent Runs are safe and, for a fixed
-// seed, bit-identical to the legacy RunX entry points with the same
-// options.
+// seed, bit-identical to each other.
 func (j *Job) Run(ctx context.Context) (Report, error) {
 	return j.run(ctx, j.o, nil)
 }
@@ -401,7 +475,7 @@ func (j *Job) run(ctx context.Context, o *options, st *trialState) (Report, erro
 			counts, rn = slices.Clone(j.counts), new(dynamics.Runner)
 		}
 		res, err := execCounts(ctx, rn, counts, j.desc, j.rule, o)
-		return j.report(ReportFromAsync(res)), err
+		return j.report(reportFromAsync(res)), err
 	}
 	var pop *Population
 	if st != nil {
@@ -427,28 +501,28 @@ func (j *Job) runOn(ctx context.Context, o *options, st *trialState, pop *Popula
 			rn = st.core
 		}
 		res, err := execCore(ctx, rn, pop, o)
-		return j.report(ReportFromCore(res)), err
+		return j.report(reportFromCore(res)), err
 	case KindDynamic:
 		rn := new(dynamics.Runner)
 		if st != nil {
 			rn = st.dyn
 		}
 		res, err := execAsync(ctx, rn, pop, j.rule, o)
-		return j.report(ReportFromAsync(res)), err
+		return j.report(reportFromAsync(res)), err
 	case KindSyncDynamic:
 		rn := new(dynamics.Runner)
 		if st != nil {
 			rn = st.dyn
 		}
 		res, err := execSync(ctx, rn, pop, j.rule, o)
-		return j.report(ReportFromSync(res)), err
+		return j.report(reportFromSync(res)), err
 	case KindOneExtraBit:
 		rn := new(onebit.Runner)
 		if st != nil {
 			rn = st.ob
 		}
 		res, err := execOneBit(ctx, rn, pop, o)
-		return j.report(ReportFromOneExtraBit(res)), err
+		return j.report(reportFromOneExtraBit(res)), err
 	default:
 		return Report{}, fmt.Errorf("plurality: job %q has unknown kind %d", j.spec, j.kind)
 	}
@@ -541,13 +615,23 @@ func (j *Job) Trials(ctx context.Context, trials int) ([]Report, error) {
 	return results, err
 }
 
+// TrialSeed derives the seed trial t of a multi-trial run uses from the
+// base seed: trial 0 keeps the base seed (a 1-trial run matches Run
+// exactly) and later trials get decorrelated streams via SplitMix-style
+// mixing.
+func TrialSeed(seed uint64, trial int) uint64 {
+	if trial == 0 {
+		return seed
+	}
+	return rng.At(seed, trial).Uint64()
+}
+
 // --- execution layer ------------------------------------------------------
 //
-// The exec helpers below are the single execution path of the library: the
-// Job methods and every legacy RunX shim call them with identical option
-// structs, which is what keeps fixed-seed results bit-identical across the
-// two API generations. ctx is honored through each engine's Stop hook; a
-// Background (or otherwise never-canceled) context compiles to a nil hook
+// The exec helpers below are the single execution path of the library:
+// Job.Run, Job.RunOn and Job.Trials call them with the job's (possibly
+// reseeded) option struct. ctx is honored through each engine's Stop hook;
+// a Background (or otherwise never-canceled) context compiles to a nil hook
 // and costs nothing on the hot path.
 
 // stopFunc derives an engine Stop hook from ctx; nil when ctx can never be
@@ -600,14 +684,14 @@ func execCore(ctx context.Context, rn *core.Runner, pop *Population, o *options)
 }
 
 // execAsync executes one asynchronous sampling-dynamics run on pop.
-func execAsync(ctx context.Context, rn *dynamics.Runner, pop *Population, rule dynamics.Rule, o *options) (AsyncResult, error) {
+func execAsync(ctx context.Context, rn *dynamics.Runner, pop *Population, rule dynamics.Rule, o *options) (dynamics.AsyncResult, error) {
 	g, err := o.topology(pop)
 	if err != nil {
-		return AsyncResult{}, err
+		return dynamics.AsyncResult{}, err
 	}
 	s, err := o.scheduler(pop.N())
 	if err != nil {
-		return AsyncResult{}, err
+		return dynamics.AsyncResult{}, err
 	}
 	cfg := dynamics.AsyncConfig{
 		Graph:     g,
@@ -620,7 +704,7 @@ func execAsync(ctx context.Context, rn *dynamics.Runner, pop *Population, rule d
 	}
 	adv, err := o.newAdversary()
 	if err != nil {
-		return AsyncResult{}, err
+		return dynamics.AsyncResult{}, err
 	}
 	cfg.Latency = o.latency
 	cfg.Churn = o.churnRate
@@ -634,14 +718,14 @@ func execAsync(ctx context.Context, rn *dynamics.Runner, pop *Population, rule d
 }
 
 // execSync executes one synchronous sampling-dynamics run on pop.
-func execSync(ctx context.Context, rn *dynamics.Runner, pop *Population, rule dynamics.Rule, o *options) (SyncResult, error) {
+func execSync(ctx context.Context, rn *dynamics.Runner, pop *Population, rule dynamics.Rule, o *options) (dynamics.SyncResult, error) {
 	g, err := o.topology(pop)
 	if err != nil {
-		return SyncResult{}, err
+		return dynamics.SyncResult{}, err
 	}
 	adv, err := o.newAdversary()
 	if err != nil {
-		return SyncResult{}, err
+		return dynamics.SyncResult{}, err
 	}
 	obs := o.newSyncObserver()
 	res, err := rn.RunSync(pop, rule, dynamics.SyncConfig{
@@ -662,16 +746,16 @@ func execSync(ctx context.Context, rn *dynamics.Runner, pop *Population, rule dy
 
 // execCounts executes one count-collapsed run directly on the histogram
 // (mutated in place to the final histogram).
-func execCounts(ctx context.Context, rn *dynamics.Runner, counts []int64, d protocols.Descriptor, rule dynamics.Rule, o *options) (AsyncResult, error) {
+func execCounts(ctx context.Context, rn *dynamics.Runner, counts []int64, d protocols.Descriptor, rule dynamics.Rule, o *options) (dynamics.AsyncResult, error) {
 	// The O(k)-memory guards live on the registry descriptor so every
 	// protocol — including newly registered ones — shares them.
 	n, err := d.ValidateCounts(counts, o.model == HeapPoisson)
 	if err != nil {
-		return AsyncResult{}, err
+		return dynamics.AsyncResult{}, err
 	}
 	s, err := o.scheduler(int(n))
 	if err != nil {
-		return AsyncResult{}, err
+		return dynamics.AsyncResult{}, err
 	}
 	cfg := dynamics.AsyncConfig{
 		Graph:     o.graph,
@@ -687,7 +771,7 @@ func execCounts(ctx context.Context, rn *dynamics.Runner, counts []int64, d prot
 	}
 	adv, err := o.newAdversary()
 	if err != nil {
-		return AsyncResult{}, err
+		return dynamics.AsyncResult{}, err
 	}
 	cfg.Latency = o.latency
 	cfg.Stop = stopFunc(ctx)
@@ -718,7 +802,7 @@ func execOneBit(ctx context.Context, rn *onebit.Runner, pop *Population, o *opti
 		Rand:              rng.At(o.seed, 0),
 		MaxPhases:         maxPhases,
 		PropagationRounds: o.propagationRounds,
-		OnPhase:           obs.hook(o.onPhase),
+		OnPhase:           obs.hook(),
 		Stop:              stopFunc(ctx),
 	})
 	if errors.Is(err, onebit.ErrStopped) {
@@ -771,7 +855,7 @@ func (o *options) scheduler(n int) (sched.Scheduler, error) {
 	case HeapPoisson:
 		return sched.NewHeapPoisson(n, 1, rng.At(o.seed, 0))
 	case Synchronous:
-		return nil, fmt.Errorf("plurality: the Synchronous model has no asynchronous scheduler; it selects the round-based dynamics engine (Job API or RunDynamicSync)")
+		return nil, fmt.Errorf("plurality: the Synchronous model has no asynchronous scheduler; it selects the round-based dynamics engine of registry protocols")
 	default:
 		return nil, fmt.Errorf("plurality: unknown model %d", o.model)
 	}

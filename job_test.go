@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"plurality/internal/protocols/dynamics"
 )
 
 // jobConfigs enumerates one Job configuration per runner family × engine
@@ -264,6 +266,55 @@ func TestJobValidateRejectsIgnoredOptions(t *testing.T) {
 	}
 }
 
+// TestJobValidateRejectsRunFailures: configurations the engines reject at
+// run time must already fail at NewJob, with an error naming the option.
+func TestJobValidateRejectsRunFailures(t *testing.T) {
+	counts, err := Biased(400, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle, err := CycleGraph(400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	annealed, err := AnnealedRegularGraph(400, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt, err := ParseAdversary("corrupt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt.Budget = 4
+	cases := []struct {
+		name string
+		spec string
+		opts []Option
+		want string // substring naming the option
+	}{
+		{"core crashes on a cycle", "core", []Option{WithCrashes(0.1), WithGraph(cycle)}, "CrashFraction"},
+		{"core crash fraction out of range", "core", []Option{WithCrashes(1.5)}, "CrashFraction"},
+		{"core churn out of range", "core", []Option{WithChurn(2)}, "WithChurn"},
+		{"per-node churn out of range", "two-choices", []Option{WithChurn(2), WithEngine(EnginePerNode)}, "WithChurn"},
+		{"occupancy churn out of range", "two-choices", []Option{WithChurn(2), WithEngine(EngineOccupancy)}, "WithChurn"},
+		{"core MaxTime past the int32 tick bound", "core", []Option{WithMaxTime(2.1e10)}, "MaxTime"},
+		{"core desync without spread", "core", []Option{WithDesync(0.5, 0)}, "Desync"},
+		{"adversary on the lumped engine", "two-choices",
+			[]Option{WithEngine(EngineOccupancy), WithGraph(annealed), WithAdversary(corrupt)}, "lumped"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := NewJob(tc.spec, counts, tc.opts...)
+			if err == nil {
+				t.Fatal("NewJob accepted a configuration the engine rejects at run time")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want mention of %s", err, tc.want)
+			}
+		})
+	}
+}
+
 // TestJobValidateEager: unknown protocols, bad parameters, malformed counts
 // and model/engine mismatches fail at NewJob, before anything runs.
 func TestJobValidateEager(t *testing.T) {
@@ -311,7 +362,7 @@ func TestJobValidateEager(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := NewJob("onebit", good, WithMaxPhases(5), WithPropagationRounds(3),
-		WithPhaseObserver(func(PhaseInfo) {})); err != nil {
+		WithObserver(1, func(Snapshot) {})); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -325,118 +376,9 @@ func mustGraph(t *testing.T, n int) Graph {
 	return g
 }
 
-// TestJobMatchesLegacyRunners: for a fixed seed, the Job API must be
-// bit-identical to the legacy RunX entry points — they share one execution
-// layer.
-func TestJobMatchesLegacyRunners(t *testing.T) {
-	counts, err := Biased(1500, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	t.Run("core", func(t *testing.T) {
-		pop, _ := NewPopulation(counts)
-		legacy, err := RunCore(pop, WithSeed(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		job, err := NewJob("core", counts, WithSeed(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := job.Run(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, _ := rep.Core(); got != legacy {
-			t.Fatalf("Job %+v != RunCore %+v", got, legacy)
-		}
-	})
-	t.Run("dynamic", func(t *testing.T) {
-		pop, _ := NewPopulation(counts)
-		legacy, err := RunDynamic("usd", pop, WithSeed(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		job, err := NewJob("usd", counts, WithSeed(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := job.Run(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep != ReportFromAsync(legacy).withProtocol("usd") {
-			t.Fatalf("Job %+v != RunDynamic %+v", rep, legacy)
-		}
-	})
-	t.Run("counts", func(t *testing.T) {
-		cc := append([]int64(nil), counts...)
-		legacy, err := RunDynamicCounts("two-choices", cc, WithSeed(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		job, err := NewJob("two-choices", counts, WithSeed(5), WithEngine(EngineOccupancy))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := job.Run(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep != ReportFromAsync(legacy).withProtocol("two-choices") {
-			t.Fatalf("Job %+v != RunDynamicCounts %+v", rep, legacy)
-		}
-	})
-	t.Run("sync", func(t *testing.T) {
-		pop, _ := NewPopulation(counts)
-		legacy, err := RunDynamicSync("3-majority", pop, WithSeed(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		job, err := NewJob("3-majority", counts, WithSeed(5), WithModel(Synchronous))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := job.Run(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep != ReportFromSync(legacy).withProtocol("3-majority") {
-			t.Fatalf("Job %+v != RunDynamicSync %+v", rep, legacy)
-		}
-	})
-	t.Run("onebit", func(t *testing.T) {
-		pop, _ := NewPopulation(counts)
-		legacy, err := RunOneExtraBit(pop, WithSeed(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		job, err := NewJob("onebit", counts, WithSeed(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := job.Run(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, _ := rep.Phases(); got != legacy {
-			t.Fatalf("Job %+v != RunOneExtraBit %+v", got, legacy)
-		}
-	})
-}
-
-// withProtocol stamps the protocol label for comparisons against
-// Job-produced reports.
-func (r Report) withProtocol(spec string) Report {
-	r.Protocol = spec
-	return r
-}
-
 // TestJobRunOnShuffledPopulation: RunOn executes on a caller-prepared
-// population (here shuffled onto a cycle), matching the legacy per-node
-// call byte for byte.
+// population; on a fresh population built from the job's counts it
+// matches Run byte for byte (Run builds exactly that population).
 func TestJobRunOnShuffledPopulation(t *testing.T) {
 	counts, err := Biased(400, 2, 2)
 	if err != nil {
@@ -446,28 +388,27 @@ func TestJobRunOnShuffledPopulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prep := func() *Population {
-		pop, err := NewPopulation(counts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pop
-	}
-	legacyPop, jobPop := prep(), prep()
-	legacy, err := RunDynamic("voter", legacyPop, WithSeed(9), WithGraph(g), WithMaxTime(1e6))
-	if err != nil {
-		t.Fatal(err)
-	}
 	job, err := NewJob("voter", counts, WithSeed(9), WithGraph(g), WithMaxTime(1e6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := job.RunOn(context.Background(), jobPop)
+	pop, err := NewPopulation(counts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep != ReportFromAsync(legacy).withProtocol("voter") {
-		t.Fatalf("RunOn %+v != RunDynamic %+v", rep, legacy)
+	onPop, err := job.RunOn(context.Background(), pop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromCounts, err := job.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if onPop != fromCounts {
+		t.Fatalf("RunOn %+v != Run %+v", onPop, fromCounts)
+	}
+	if !pop.ConsensusOn(onPop.Winner) {
+		t.Fatalf("RunOn left the population at %v, want consensus on %d", pop.Counts(), onPop.Winner)
 	}
 }
 
@@ -501,11 +442,11 @@ func TestJobReusable(t *testing.T) {
 	}
 }
 
-// TestReportConversions: all four legacy result types convert into the
+// TestReportConversions: all four engine result types convert into the
 // unified Report with their fields mapped and detail accessible.
 func TestReportConversions(t *testing.T) {
 	cr := CoreResult{Done: true, Winner: 2, ConsensusTime: 12.5, Time: 13, Ticks: 99, Jumps: 4, Churns: 1}
-	rep := ReportFromCore(cr)
+	rep := reportFromCore(cr)
 	if rep.Kind != KindCore || !rep.Converged || rep.Winner != 2 || rep.ConsensusTime != 12.5 || rep.Ticks != 99 || rep.Churns != 1 {
 		t.Fatalf("core conversion: %+v", rep)
 	}
@@ -516,23 +457,23 @@ func TestReportConversions(t *testing.T) {
 		t.Fatal("core report should not expose Phases()")
 	}
 
-	ar := AsyncResult{Done: true, Winner: 1, Time: 7.5, Ticks: 10, Undecided: 3, Churns: 2}
-	rep = ReportFromAsync(ar)
+	ar := dynamics.AsyncResult{Done: true, Winner: 1, Time: 7.5, Ticks: 10, Undecided: 3, Churns: 2}
+	rep = reportFromAsync(ar)
 	if rep.Kind != KindDynamic || rep.ConsensusTime != 7.5 || rep.Undecided != 3 {
 		t.Fatalf("async conversion: %+v", rep)
 	}
-	if rep := ReportFromAsync(AsyncResult{Done: false, Time: 7.5}); rep.ConsensusTime != 0 {
+	if rep := reportFromAsync(dynamics.AsyncResult{Done: false, Time: 7.5}); rep.ConsensusTime != 0 {
 		t.Fatalf("unconverged async run must not claim a consensus time: %+v", rep)
 	}
 
-	sr := SyncResult{Done: true, Winner: 0, Rounds: 17, Undecided: 2}
-	rep = ReportFromSync(sr)
+	sr := dynamics.SyncResult{Done: true, Winner: 0, Rounds: 17, Undecided: 2}
+	rep = reportFromSync(sr)
 	if rep.Kind != KindSyncDynamic || rep.Rounds != 17 || rep.Undecided != 2 {
 		t.Fatalf("sync conversion: %+v", rep)
 	}
 
 	or := OneExtraBitResult{Done: true, Winner: 3, Phases: 4, Rounds: 40}
-	rep = ReportFromOneExtraBit(or)
+	rep = reportFromOneExtraBit(or)
 	if rep.Kind != KindOneExtraBit || rep.Rounds != 40 {
 		t.Fatalf("onebit conversion: %+v", rep)
 	}

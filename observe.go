@@ -3,6 +3,7 @@ package plurality
 import (
 	"plurality/internal/core"
 	"plurality/internal/protocols/dynamics"
+	"plurality/internal/protocols/onebit"
 	"plurality/internal/trace"
 )
 
@@ -41,7 +42,7 @@ type Snapshot struct {
 // synchronous dynamics engine, and every phase on OneExtraBit. The stream
 // always ends with a snapshot of the state the run ended in (consensus,
 // budget exhaustion or cancellation). It is the uniform observation surface
-// the legacy per-runner hooks (WithProbe, WithPhaseObserver) predate;
+// of every runner (WithProbe adds the core protocol's sync-quality probes);
 // unlike the dynamics OnTick hook it does not force the per-node engine.
 //
 // Observation changes no protocol decision, but it can change which
@@ -190,10 +191,9 @@ func (s *syncObserver) final(rounds int, pop *Population) {
 }
 
 // oneBitObserver adapts the public observer onto OneExtraBit's per-phase
-// hook, chaining the user's own WithPhaseObserver callback when both are
-// set. Snapshot.Time is the completed phase count (PhaseInfo does not track
-// cumulative rounds). final closes the stream for interrupted runs, which
-// end without a phase boundary.
+// hook. Snapshot.Time is the completed phase count (onebit.PhaseInfo does
+// not track cumulative rounds). final closes the stream for interrupted
+// runs, which end without a phase boundary.
 type oneBitObserver struct {
 	o         *options
 	buf       []int64
@@ -209,17 +209,13 @@ func (o *options) newOneBitObserver() *oneBitObserver {
 	return &oneBitObserver{o: o, lastPhase: -1}
 }
 
-// hook returns the engine's per-phase callback: the user's own
-// WithPhaseObserver (possibly nil) when unobserved, else the chained
-// phase-and-snapshot emitter.
-func (s *oneBitObserver) hook(user func(PhaseInfo)) func(PhaseInfo) {
+// hook returns the engine's per-phase callback: nil when unobserved, else
+// the snapshot emitter.
+func (s *oneBitObserver) hook() func(onebit.PhaseInfo) {
 	if s == nil {
-		return user
+		return nil
 	}
-	return func(info PhaseInfo) {
-		if user != nil {
-			user(info)
-		}
+	return func(info onebit.PhaseInfo) {
 		s.lastPhase = info.Phase + 1
 		s.o.onSnapshot(Snapshot{
 			Time:              float64(info.Phase + 1),

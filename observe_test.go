@@ -185,7 +185,8 @@ func TestOneExtraBitWithMaxPhases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _ := RunOneExtraBit(pop, append([]Option{WithSeed(4), WithPropagationRounds(1)}, opts...)...)
+		rep, _ := runOn(t, "onebit", pop, append([]Option{WithSeed(4), WithPropagationRounds(1)}, opts...)...)
+		res, _ := rep.Phases()
 		return res
 	}
 

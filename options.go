@@ -26,10 +26,8 @@ const (
 	HeapPoisson
 	// Synchronous selects the synchronous model for sampling dynamics run
 	// through the Job API: discrete simultaneous rounds (Theorem 1.1's
-	// setting) instead of an asynchronous scheduler. A Job over a registry
-	// protocol with WithModel(Synchronous) is the Job-API equivalent of
-	// RunDynamicSync; the asynchronous-only runners (core, the counts
-	// engine) reject it.
+	// setting) instead of an asynchronous scheduler. The asynchronous-only
+	// runners (core, the counts engine) reject it.
 	Synchronous
 )
 
@@ -108,7 +106,6 @@ const (
 	idEngine
 	idGraph
 	idProbe
-	idPhaseObserver
 	idObserver
 	idDelta
 	idPhases
@@ -142,7 +139,6 @@ var optNames = [numOptIDs]string{
 	idEngine:            "WithEngine",
 	idGraph:             "WithGraph",
 	idProbe:             "WithProbe",
-	idPhaseObserver:     "WithPhaseObserver",
 	idObserver:          "WithObserver",
 	idDelta:             "WithDelta",
 	idPhases:            "WithPhases",
@@ -184,7 +180,6 @@ type options struct {
 	graph         Graph
 	probeInterval float64
 	onProbe       func(CoreProbe)
-	onPhase       func(PhaseInfo)
 
 	observeInterval float64
 	onSnapshot      func(Snapshot)
@@ -231,8 +226,8 @@ func WithSeed(seed uint64) Option {
 
 // WithModel selects the communication model (default Sequential). The
 // asynchronous models apply to the core protocol and the sampling dynamics;
-// Synchronous selects the round-based dynamics engine (Job API). The legacy
-// synchronous runners (RunDynamicSync, RunOneExtraBit) ignore it.
+// Synchronous selects the round-based dynamics engine. OneExtraBit is
+// synchronous by definition and rejects it.
 func WithModel(m Model) Option {
 	return optionFunc(func(o *options) { o.mark(idModel); o.model = m })
 }
@@ -249,8 +244,8 @@ func WithMaxRounds(r int) Option {
 }
 
 // WithMaxPhases bounds OneExtraBit runs in phases. When unset, OneExtraBit
-// falls back to the legacy derivation max(1, MaxRounds/10) — see
-// RunOneExtraBit — which this option deprecates.
+// falls back to the legacy derivation max(1, MaxRounds/10), an
+// order-of-magnitude heuristic this option deprecates.
 func WithMaxPhases(p int) Option {
 	return optionFunc(func(o *options) { o.mark(idMaxPhases); o.maxPhases = p })
 }
@@ -311,11 +306,6 @@ func WithProbe(interval float64, fn func(CoreProbe)) Option {
 	})
 }
 
-// WithPhaseObserver registers a per-phase observer on OneExtraBit runs.
-func WithPhaseObserver(fn func(PhaseInfo)) Option {
-	return optionFunc(func(o *options) { o.mark(idPhaseObserver); o.onPhase = fn })
-}
-
 // WithDelta overrides the core protocol's block length ∆.
 func WithDelta(delta int) Option {
 	return optionFunc(func(o *options) { o.mark(idDelta); o.delta = delta })
@@ -360,9 +350,9 @@ func WithRunToHalt() Option {
 	return optionFunc(func(o *options) { o.mark(idRunToHalt); o.runToHalt = true })
 }
 
-// WithTrialWorkers bounds the number of worker goroutines multi-trial runs
-// (Job.Trials, RunCoreTrials) shard trials across (default 0 = GOMAXPROCS).
-// Results are deterministic regardless of the worker count.
+// WithTrialWorkers bounds the number of worker goroutines Job.Trials
+// shards trials across (default 0 = GOMAXPROCS). Results are deterministic
+// regardless of the worker count.
 func WithTrialWorkers(workers int) Option {
 	return optionFunc(func(o *options) { o.mark(idTrialWorkers); o.trialWorkers = workers })
 }
@@ -410,8 +400,10 @@ func WithODEThreshold(theta float64) Option {
 // Engine support is validated eagerly: the hybrid leap engine rejects all
 // adversaries (they break its flow laws; count-collapsed runs fall back to
 // exact ticks instead), the core protocol rejects Byzantine lying, the
-// synchronous model rejects scheduling bias, and the count-collapsed
-// engines reject per-node adversaries (delay-set).
+// synchronous model rejects scheduling bias, the count-collapsed engines
+// reject per-node adversaries (delay-set), and the degree-class lumped
+// engine (EngineOccupancy on an annealed topology) rejects every active
+// adversary.
 func WithAdversary(spec AdversarySpec) Option {
 	return optionFunc(func(o *options) { o.mark(idAdversary); o.adversary = spec })
 }

@@ -30,8 +30,8 @@
 // counts × options; Job.Run honors context cancellation inside every
 // engine loop, Job.Trials fans deterministic pooled trials across cores
 // for every protocol, and WithObserver streams histogram snapshots from
-// any runner. The legacy one-shot entry points (RunCore, RunDynamic, …)
-// remain as bit-identical shims over the same execution layer.
+// any runner. Job.RunOn runs the same job on a caller-prepared population
+// (shuffled placements, resumed states).
 //
 // All runs are deterministic given WithSeed. See DESIGN.md for the paper
 // mapping and EXPERIMENTS.md for the reproduced results.
@@ -66,14 +66,8 @@ type (
 	CoreProbe = core.Probe
 	// CoreSpec is the resolved working-time schedule of a core run.
 	CoreSpec = core.Spec
-	// SyncResult describes a synchronous sampling-dynamics run.
-	SyncResult = dynamics.SyncResult
-	// AsyncResult describes an asynchronous sampling-dynamics run.
-	AsyncResult = dynamics.AsyncResult
 	// OneExtraBitResult describes a OneExtraBit run.
 	OneExtraBitResult = onebit.Result
-	// PhaseInfo is delivered per OneExtraBit phase.
-	PhaseInfo = onebit.PhaseInfo
 
 	// EdgeLatency is a per-edge message-latency model for the asynchronous
 	// edge-latency extension (after Bankhamer et al.); see WithEdgeLatency.
@@ -81,14 +75,14 @@ type (
 
 	// Protocol describes one registered sampling-dynamics family: its
 	// names, update rule, source paper, engine support and the hooks the
-	// runners resolve. See Protocols and RunDynamic.
+	// runners resolve. See Protocols and NewJob.
 	Protocol = protocols.Descriptor
 )
 
 // Protocols returns the registry of sampling-dynamics protocol families in
 // presentation order: Two-Choices, Voter, 3-Majority, Undecided-State
 // Dynamics and parameterized j-Majority. Every name-based entry point —
-// RunDynamic, the experiment harness's protocol axis, the CLIs — resolves
+// NewJob, the experiment harness's protocol axis, the CLIs — resolves
 // against this registry, so the slice is also the authoritative answer to
 // "which protocols does this library run?". (The paper's core protocol and
 // OneExtraBit are not sampling dynamics and keep their dedicated runners.)

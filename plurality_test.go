@@ -1,6 +1,7 @@
 package plurality
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -12,6 +13,26 @@ func mustPop(t *testing.T, counts []int64) *Population {
 		t.Fatal(err)
 	}
 	return pop
+}
+
+// runOn compiles spec with opts against pop's histogram and runs the job
+// on pop in place.
+func runOn(t *testing.T, spec string, pop *Population, opts ...Option) (Report, error) {
+	t.Helper()
+	job, err := NewJob(spec, pop.Counts(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return job.RunOn(context.Background(), pop)
+}
+
+// runCore runs the core protocol on pop in place and returns its full
+// result.
+func runCore(t *testing.T, pop *Population, opts ...Option) (CoreResult, error) {
+	t.Helper()
+	rep, err := runOn(t, "core", pop, opts...)
+	res, _ := rep.Core()
+	return res, err
 }
 
 func biasedCounts(t *testing.T, n, k int, eps float64) []int64 {
@@ -72,7 +93,7 @@ func TestWorkloadConstructors(t *testing.T) {
 
 func TestRunCoreEndToEnd(t *testing.T) {
 	pop := mustPop(t, biasedCounts(t, 5000, 4, 1))
-	res, err := RunCore(pop, WithSeed(7))
+	res, err := runCore(t, pop, WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +107,7 @@ func TestRunCoreEndToEnd(t *testing.T) {
 
 func TestRunCorePoissonModel(t *testing.T) {
 	pop := mustPop(t, biasedCounts(t, 3000, 4, 1))
-	res, err := RunCore(pop, WithSeed(8), WithModel(Poisson))
+	res, err := runCore(t, pop, WithSeed(8), WithModel(Poisson))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +119,7 @@ func TestRunCorePoissonModel(t *testing.T) {
 func TestRunCoreDeterministicAcrossCalls(t *testing.T) {
 	run := func() CoreResult {
 		pop := mustPop(t, biasedCounts(t, 2000, 4, 1))
-		res, err := RunCore(pop, WithSeed(9))
+		res, err := runCore(t, pop, WithSeed(9))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,21 +131,28 @@ func TestRunCoreDeterministicAcrossCalls(t *testing.T) {
 }
 
 func TestRunCoreUnknownModel(t *testing.T) {
-	pop := mustPop(t, biasedCounts(t, 100, 2, 1))
-	if _, err := RunCore(pop, WithModel(Model(99))); err == nil {
+	job, err := NewJob("core", biasedCounts(t, 100, 2, 1), WithModel(Model(99)))
+	if err == nil {
+		_, err = job.Run(context.Background())
+	}
+	if err == nil {
 		t.Fatal("unknown model should fail")
 	}
 }
 
 func TestRunCoreNilPopulation(t *testing.T) {
-	if _, err := RunCore(nil); err == nil {
+	job, err := NewJob("core", biasedCounts(t, 100, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := job.RunOn(context.Background(), nil); err == nil {
 		t.Fatal("nil population should fail")
 	}
 }
 
 func TestRunCoreBudgetError(t *testing.T) {
 	pop := mustPop(t, biasedCounts(t, 2000, 4, 0.5))
-	_, err := RunCore(pop, WithMaxTime(1))
+	_, err := runCore(t, pop, WithMaxTime(1))
 	if !errors.Is(err, ErrNoConsensus) {
 		t.Fatalf("err = %v, want ErrNoConsensus", err)
 	}
@@ -132,56 +160,56 @@ func TestRunCoreBudgetError(t *testing.T) {
 
 func TestRunTwoChoicesSync(t *testing.T) {
 	pop := mustPop(t, gapSqrtCounts(t, 4000, 4, 1.5))
-	res, err := RunTwoChoicesSync(pop, WithSeed(10))
+	res, err := runOn(t, "two-choices", pop, WithSeed(10), WithModel(Synchronous))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Done || res.Winner != 0 {
+	if !res.Converged || res.Winner != 0 {
 		t.Fatalf("res = %+v", res)
 	}
 }
 
 func TestRunTwoChoicesAsync(t *testing.T) {
 	pop := mustPop(t, biasedCounts(t, 2000, 3, 1))
-	res, err := RunTwoChoicesAsync(pop, WithSeed(11))
+	res, err := runOn(t, "two-choices", pop, WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Done || res.Winner != 0 {
+	if !res.Converged || res.Winner != 0 {
 		t.Fatalf("res = %+v", res)
 	}
 }
 
 func TestRunVoterBothModels(t *testing.T) {
 	syncPop := mustPop(t, []int64{200, 200})
-	if _, err := RunVoterSync(syncPop, WithSeed(12)); err != nil {
+	if _, err := runOn(t, "voter", syncPop, WithSeed(12), WithModel(Synchronous)); err != nil {
 		t.Fatal(err)
 	}
 	asyncPop := mustPop(t, []int64{200, 200})
-	res, err := RunVoterAsync(asyncPop, WithSeed(13))
+	res, err := runOn(t, "voter", asyncPop, WithSeed(13))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Done {
+	if !res.Converged {
 		t.Fatalf("voter async did not converge: %+v", res)
 	}
 }
 
 func TestRunThreeMajority(t *testing.T) {
 	pop := mustPop(t, biasedCounts(t, 3000, 4, 1))
-	res, err := RunThreeMajoritySync(pop, WithSeed(14))
+	res, err := runOn(t, "3-majority", pop, WithSeed(14), WithModel(Synchronous))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Done || res.Winner != 0 {
+	if !res.Converged || res.Winner != 0 {
 		t.Fatalf("res = %+v", res)
 	}
 	pop2 := mustPop(t, biasedCounts(t, 3000, 4, 1))
-	res2, err := RunThreeMajorityAsync(pop2, WithSeed(15))
+	res2, err := runOn(t, "3-majority", pop2, WithSeed(15))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res2.Done || res2.Winner != 0 {
+	if !res2.Converged || res2.Winner != 0 {
 		t.Fatalf("res2 = %+v", res2)
 	}
 }
@@ -189,10 +217,11 @@ func TestRunThreeMajority(t *testing.T) {
 func TestRunOneExtraBit(t *testing.T) {
 	pop := mustPop(t, gapPolylogCounts(t, 10000, 8, 0.5))
 	var phases int
-	res, err := RunOneExtraBit(pop, WithSeed(16), WithPhaseObserver(func(PhaseInfo) { phases++ }))
+	rep, err := runOn(t, "onebit", pop, WithSeed(16), WithObserver(1, func(Snapshot) { phases++ }))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, _ := rep.Phases()
 	if !res.Done || res.Winner != 0 {
 		t.Fatalf("res = %+v", res)
 	}
@@ -204,7 +233,7 @@ func TestRunOneExtraBit(t *testing.T) {
 func TestRunCoreWithProbeAndTuning(t *testing.T) {
 	pop := mustPop(t, biasedCounts(t, 2000, 4, 1))
 	var probes int
-	res, err := RunCore(pop,
+	res, err := runCore(t, pop,
 		WithSeed(17),
 		WithDelta(40),
 		WithPhases(8),
@@ -225,7 +254,7 @@ func TestRunCoreWithProbeAndTuning(t *testing.T) {
 
 func TestRunCoreEndgameOnly(t *testing.T) {
 	pop := mustPop(t, []int64{4500, 500})
-	res, err := RunCore(pop, WithSeed(18), WithEndgameOnly(), WithRunToHalt())
+	res, err := runCore(t, pop, WithSeed(18), WithEndgameOnly(), WithRunToHalt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +265,7 @@ func TestRunCoreEndgameOnly(t *testing.T) {
 
 func TestRunCoreWithResponseDelay(t *testing.T) {
 	pop := mustPop(t, biasedCounts(t, 2000, 3, 1))
-	res, err := RunCore(pop, WithSeed(19), WithResponseDelay(1))
+	res, err := runCore(t, pop, WithSeed(19), WithResponseDelay(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +280,7 @@ func TestRunCoreFailureInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	pop := mustPop(t, biasedCounts(t, 4000, 4, 1))
-	res, err := RunCore(pop,
+	res, err := runCore(t, pop,
 		WithSeed(20),
 		WithCrashes(0.01),
 		WithDesync(0.02, spec.PhaseTicks),
@@ -288,11 +317,11 @@ func TestWithGraphTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	pop := mustPop(t, []int64{15, 15})
-	res, err := RunVoterAsync(pop, WithSeed(21), WithGraph(g), WithMaxTime(1e6))
+	res, err := runOn(t, "voter", pop, WithSeed(21), WithGraph(g), WithMaxTime(1e6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Done {
+	if !res.Converged {
 		t.Fatalf("res = %+v", res)
 	}
 }
@@ -317,7 +346,7 @@ func TestSyncRunnersRespectMaxRounds(t *testing.T) {
 	pop := mustPop(t, []int64{500, 500})
 	// keep-own is impossible here, but a tiny round budget with real
 	// dynamics still has to error out on a large balanced instance.
-	_, err := RunVoterSync(pop, WithSeed(22), WithMaxRounds(1))
+	_, err := runOn(t, "voter", pop, WithSeed(22), WithModel(Synchronous), WithMaxRounds(1))
 	if !errors.Is(err, ErrTimeLimit) {
 		t.Fatalf("err = %v, want ErrTimeLimit", err)
 	}

@@ -1,6 +1,24 @@
 package plurality
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
+
+// runCoreTrials runs trials core-protocol trials from counts through
+// Job.Trials and returns their full results.
+func runCoreTrials(counts []int64, trials int, opts ...Option) ([]CoreResult, error) {
+	job, err := NewJob("core", counts, opts...)
+	if err != nil {
+		return nil, err
+	}
+	reps, err := job.Trials(context.Background(), trials)
+	results := make([]CoreResult, len(reps))
+	for i, rep := range reps {
+		results[i], _ = rep.Core()
+	}
+	return results, err
+}
 
 // TestRunCoreTrialsDeterministicAcrossWorkers: the multi-trial driver must
 // be a pure function of (counts, trials, seed) — the worker count only
@@ -12,7 +30,7 @@ func TestRunCoreTrialsDeterministicAcrossWorkers(t *testing.T) {
 	}
 	const trials = 6
 	run := func(workers int) []CoreResult {
-		res, err := RunCoreTrials(counts, trials, WithSeed(9), WithTrialWorkers(workers))
+		res, err := runCoreTrials(counts, trials, WithSeed(9), WithTrialWorkers(workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -42,7 +60,7 @@ func TestRunCoreTrialsDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestRunCoreTrialsFirstTrialMatchesRunCore: trial 0 keeps the base seed,
-// so a 1-trial multi-run is exactly RunCore.
+// so a 1-trial multi-run is exactly a single run.
 func TestRunCoreTrialsFirstTrialMatchesRunCore(t *testing.T) {
 	counts, err := Biased(1500, 2, 1)
 	if err != nil {
@@ -52,16 +70,16 @@ func TestRunCoreTrialsFirstTrialMatchesRunCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := RunCore(pop, WithSeed(4))
+	single, err := runCore(t, pop, WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := RunCoreTrials(counts, 3, WithSeed(4))
+	many, err := runCoreTrials(counts, 3, WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if many[0] != single {
-		t.Fatalf("trial 0 %+v != RunCore %+v", many[0], single)
+		t.Fatalf("trial 0 %+v != single run %+v", many[0], single)
 	}
 }
 
@@ -70,7 +88,7 @@ func TestRunCoreTrialsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunCoreTrials(counts, 0); err == nil {
+	if _, err := runCoreTrials(counts, 0); err == nil {
 		t.Error("trials=0 should fail")
 	}
 }
@@ -84,7 +102,7 @@ func TestRunCoreHeapPoissonModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunCore(pop, WithSeed(2), WithModel(HeapPoisson))
+	res, err := runCore(t, pop, WithSeed(2), WithModel(HeapPoisson))
 	if err != nil {
 		t.Fatal(err)
 	}
