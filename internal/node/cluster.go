@@ -86,7 +86,7 @@ type Result struct {
 // does not depend on the termination gadget.
 type collector struct {
 	mu        sync.Mutex
-	counts    map[population.Color]int64
+	counts    []int64 // by color
 	undecided int64
 	total     int64
 	done      bool
@@ -94,60 +94,59 @@ type collector struct {
 	winner    population.Color
 }
 
-func newCollector(initial []population.Color) *collector {
-	c := &collector{counts: make(map[population.Color]int64)}
+// newCollector builds the census of the initial opinions over colors
+// [0, colors).
+func newCollector(initial []population.Color, colors int) *collector {
+	c := &collector{counts: make([]int64, colors), total: int64(len(initial))}
 	for _, op := range initial {
-		c.total++
-		if op == population.None {
-			c.undecided++
-		} else {
-			c.counts[op]++
-		}
+		*c.bucket(op)++
 	}
-	c.check(0)
+	for col := range c.counts {
+		c.check(population.Color(col), 0)
+	}
 	return c
+}
+
+// bucket returns the counter of color col. Undecided nodes, and colors
+// outside [0, colors) that only a misbehaving remote peer can report,
+// share the undecided counter.
+func (c *collector) bucket(col population.Color) *int64 {
+	if col < 0 || int(col) >= len(c.counts) {
+		return &c.undecided
+	}
+	return &c.counts[col]
 }
 
 // change records one opinion flip at parallel time t.
 func (c *collector) change(old, next population.Color, t float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old == population.None {
-		c.undecided--
-	} else {
-		c.counts[old]--
-	}
-	if next == population.None {
-		c.undecided++
-	} else {
-		c.counts[next]++
-	}
-	if !c.done {
-		c.check(t)
-	}
+	*c.bucket(old)--
+	*c.bucket(next)++
+	c.check(next, t)
 }
 
-// check latches unanimity. Caller holds c.mu (or has exclusive access).
-func (c *collector) check(t float64) {
-	for col, cnt := range c.counts {
-		if cnt == c.total {
-			c.done = true
-			c.when = t
-			c.winner = col
-			return
-		}
+// check latches unanimity on col, the only color whose count can just
+// have reached the total. Caller holds c.mu (or has exclusive access).
+func (c *collector) check(col population.Color, t float64) {
+	if c.done || col < 0 || int(col) >= len(c.counts) || c.counts[col] != c.total {
+		return
 	}
+	c.done = true
+	c.when = t
+	c.winner = col
 }
 
-// snapshot returns the final census.
+// snapshot returns the final census; the plurality color is the lowest
+// color among those with the largest count.
 func (c *collector) snapshot() (done bool, when float64, winner population.Color, undecided int64, plurality population.Color) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var best int64 = -1
 	for col, cnt := range c.counts {
-		if cnt > best || (cnt == best && col < plurality) {
+		if cnt > best {
 			best = cnt
-			plurality = col
+			plurality = population.Color(col)
 		}
 	}
 	return c.done, c.when, c.winner, c.undecided, plurality
@@ -221,7 +220,7 @@ func Run(ctx context.Context, cfg ClusterConfig) (Result, error) {
 		return Result{}, errors.New("node: no locally hosted nodes")
 	}
 
-	coll := newCollector(initial)
+	coll := newCollector(initial, len(cfg.Counts))
 	nodes := make([]*Node, len(ids))
 	for i, id := range ids {
 		nd := newNode(id, int(n), cfg.Rule, opinions[id], cfg.Seed,

@@ -271,3 +271,32 @@ func TestTCPTwoProcessMesh(t *testing.T) {
 		t.Errorf("winner %d, want majority color 0", winners[0])
 	}
 }
+
+// TestCollectorCensus drives the collector through USD-style flips: the
+// unanimity latch fires on the flip that completes it and never again, the
+// undecided count tracks None, and the plurality tie-break picks the lowest
+// color.
+func TestCollectorCensus(t *testing.T) {
+	c := newCollector([]population.Color{0, 1, 1, 2}, 3)
+	if done, _, _, _, plur := c.snapshot(); done || plur != 1 {
+		t.Fatalf("initial census: done=%v plurality=%d, want false, 1", done, plur)
+	}
+	c.change(2, population.None, 1)
+	c.change(0, 1, 2)
+	if done, _, _, und, plur := c.snapshot(); done || und != 1 || plur != 1 {
+		t.Fatalf("after flips: done=%v undecided=%d plurality=%d", done, und, plur)
+	}
+	c.change(population.None, 1, 3.5)
+	done, when, winner, und, _ := c.snapshot()
+	if !done || when != 3.5 || winner != 1 || und != 0 {
+		t.Fatalf("unanimity: done=%v when=%v winner=%d undecided=%d", done, when, winner, und)
+	}
+	c.change(1, 0, 4)
+	c.change(1, 0, 5)
+	if _, when, winner, _, plur := c.snapshot(); when != 3.5 || winner != 1 || plur != 0 {
+		t.Fatalf("latch moved: when=%v winner=%d; tie-break plurality=%d, want 0", when, winner, plur)
+	}
+	if done, _, winner, _, _ := newCollector([]population.Color{2, 2}, 3).snapshot(); !done || winner != 2 {
+		t.Fatalf("unanimous start: done=%v winner=%d", done, winner)
+	}
+}

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"sync"
@@ -31,26 +30,6 @@ type Faults struct {
 // schedules a wake), surfaced loudly instead of deadlocking.
 var errStall = errors.New("node: fabric stalled with no pending events")
 
-// event is one scheduled occurrence on the virtual timeline.
-type event struct {
-	at   float64
-	seq  int64 // tiebreaker: schedule order
-	fire func()
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); ev := old[n-1]; *h = old[:n-1]; return ev }
-
 // Fabric is the in-process transport: a conservative virtual-time event
 // coordinator. Node goroutines only ever block inside Sleep or Pull; the
 // coordinator waits until every live node is blocked (running == 0), pops
@@ -58,6 +37,10 @@ func (h *eventHeap) Pop() any     { old := *h; n := len(old); ev := old[n-1]; *h
 // the shared clock, and fires it. Exactly one goroutine is ever runnable,
 // so execution is globally sequential and bit-deterministic for a fixed
 // seed, while the nodes still communicate exclusively through messages.
+//
+// The steady state allocates nothing: events are plain values in a typed
+// heap, and each node owns one reusable waiter (its endpoint) with a wake
+// channel and reply slots, created at Bind.
 type Fabric struct {
 	n      int
 	faults Faults
@@ -65,7 +48,7 @@ type Fabric struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond // coordinator waits here for running == 0
-	events  eventHeap
+	events  eventQueue
 	seq     int64
 	now     float64
 	running int // node goroutines not blocked in Sleep/Pull
@@ -75,9 +58,9 @@ type Fabric struct {
 	err     error
 	done    chan struct{} // coordinator exited
 
-	handlers []Handler
-	bound    int
-	stats    Stats
+	nodes []*fabNode // by id; nil until bound
+	bound int
+	stats Stats
 }
 
 // NewFabric creates an in-process fabric for n nodes. The fault stream is
@@ -85,11 +68,11 @@ type Fabric struct {
 // shift the nodes' own random draws.
 func NewFabric(n int, seed uint64, f Faults) *Fabric {
 	fb := &Fabric{
-		n:        n,
-		faults:   f,
-		frng:     rng.At(seed, faultStream),
-		handlers: make([]Handler, n),
-		done:     make(chan struct{}),
+		n:      n,
+		faults: f,
+		frng:   rng.At(seed, faultStream),
+		nodes:  make([]*fabNode, n),
+		done:   make(chan struct{}),
 	}
 	fb.cond = sync.NewCond(&fb.mu)
 	return fb
@@ -105,18 +88,19 @@ func (f *Fabric) Bind(id int, h Handler) (Conn, error) {
 	if id < 0 || id >= f.n {
 		return nil, fmt.Errorf("node: Bind id %d out of range [0,%d)", id, f.n)
 	}
-	if f.handlers[id] != nil {
+	if f.nodes[id] != nil {
 		return nil, fmt.Errorf("node: node %d already bound", id)
 	}
-	f.handlers[id] = h
+	f.nodes[id] = &fabNode{f: f, id: int32(id), h: h, wake: make(chan struct{}, 1)}
 	f.bound++
-	return fabConn{f: f, id: id}, nil
+	return f.nodes[id], nil
 }
 
 // Clock implements Network. The fabric's clocks are all views of the one
-// shared virtual timeline.
+// shared virtual timeline; each is also its node's waiter, so it is valid
+// only after Bind(id).
 func (f *Fabric) Clock(id int) Clock {
-	return fabClock{f: f}
+	return f.nodes[id]
 }
 
 // Start implements Network: it arms the running/live counters to the
@@ -132,6 +116,9 @@ func (f *Fabric) Start() error {
 	f.started = true
 	f.running = f.bound
 	f.live = f.bound
+	// Room for each node's wake, or its pull's requests and timeout; the
+	// heap grows past it only under delays, drops or large samples.
+	f.events = newEventQueue(f.n, 4*f.bound)
 	go f.dispatch()
 	return nil
 }
@@ -167,10 +154,13 @@ func (f *Fabric) Err() error {
 	return f.err
 }
 
-// schedule enqueues fire at virtual time at. Caller holds f.mu.
-func (f *Fabric) schedule(at float64, fire func()) {
-	heap.Push(&f.events, event{at: at, seq: f.seq, fire: fire})
+// schedule enqueues ev d time units from now, stamping its time and its
+// place in schedule order. Caller holds f.mu.
+func (f *Fabric) schedule(d float64, ev event) {
+	ev.at = f.now + d
+	ev.seq = f.seq
 	f.seq++
+	f.events.push(ev)
 }
 
 // dispatch is the coordinator: pop-advance-fire, one event at a time,
@@ -188,29 +178,83 @@ func (f *Fabric) dispatch() {
 		if f.live == 0 {
 			break
 		}
-		if len(f.events) == 0 {
+		if f.events.len() == 0 {
 			// Unreachable by construction; fail loudly, not silently.
 			f.err = errStall
 			f.closed = true
 			f.drain()
 			break
 		}
-		ev := heap.Pop(&f.events).(event)
+		ev := f.events.pop()
 		f.now = ev.at
-		ev.fire()
+		f.fire(&ev)
 	}
 	f.mu.Unlock()
 	close(f.done)
 }
 
 // drain fires every remaining event under closed state so that blocked
-// nodes are released: wake and timeout closures run their release path,
-// delivery closures no-op. Caller holds f.mu.
+// nodes are released: wakes and timeouts run their release path,
+// deliveries no-op. Caller holds f.mu.
 func (f *Fabric) drain() {
-	for len(f.events) > 0 {
-		ev := heap.Pop(&f.events).(event)
-		ev.fire()
+	for f.events.len() > 0 {
+		ev := f.events.pop()
+		f.fire(&ev)
 	}
+}
+
+// fire runs one event. Caller holds f.mu.
+func (f *Fabric) fire(ev *event) {
+	w := f.nodes[ev.node]
+	switch ev.kind {
+	case evWake:
+		// The sleeper becomes the one running goroutine.
+		f.release(w)
+	case evRequest:
+		// Request delivery. The handler is the responder's always-responsive
+		// network layer: it reads atomically published state, so invoking
+		// it here never wakes or blocks the responder's protocol goroutine.
+		// It runs whether or not the requester's pull already ended, so the
+		// fault stream's draws depend only on the messages sent.
+		if f.closed {
+			return
+		}
+		resp := f.nodes[ev.peer].h(Message{Kind: KindPull, To: uint32(ev.peer), From: uint32(ev.node)})
+		if f.drop() {
+			f.stats.Dropped++
+			return
+		}
+		f.schedule(f.delay(), event{kind: evReply, node: ev.node, slot: ev.slot, gen: ev.gen,
+			opinion: resp.Opinion, decided: resp.Decided})
+	case evReply:
+		// A reply to an ended pull (timed out, or an earlier generation)
+		// is a no-op.
+		if f.closed || w.done || ev.gen != w.gen {
+			return
+		}
+		f.stats.Responses++
+		w.replies[ev.slot] = PullReply{Opinion: population.Color(ev.opinion), Decided: ev.decided, OK: true}
+		w.remaining--
+		if w.remaining == 0 {
+			w.done = true
+			f.events.cancelTimeout(ev.node)
+			f.release(w)
+		}
+	case evTimeout:
+		if w.done || ev.gen != w.gen {
+			return
+		}
+		w.done = true
+		f.release(w)
+	}
+}
+
+// release hands the run to w's blocked node goroutine. Caller holds f.mu.
+// The send never blocks: each block is released exactly once (one wake per
+// Sleep, the done latch per Pull), and wake has room for that one token.
+func (f *Fabric) release(w *fabNode) {
+	f.running++
+	w.wake <- struct{}{}
 }
 
 // delay draws one message delay from the fault stream. Caller holds f.mu.
@@ -242,31 +286,45 @@ func (f *Fabric) drop() bool {
 	return f.faults.Drop > 0 && f.frng.Bernoulli(f.faults.Drop)
 }
 
-// fabClock is a node's view of the fabric's shared virtual timeline.
-type fabClock struct {
-	f *Fabric
+// fabNode is node id's endpoint on the fabric, serving as both its Conn
+// and its Clock. It is the node's one reusable waiter: the node blocks on
+// wake in Sleep or Pull (never both at once), and the fields below wake
+// describe the pull in flight. Every field but f, id, h and wake is
+// guarded by f.mu.
+type fabNode struct {
+	f    *Fabric
+	id   int32
+	h    Handler
+	wake chan struct{} // capacity 1: one release per block
+
+	replies   []PullReply // the current pull's slots, reused across pulls
+	remaining int         // replies still missing
+	done      bool        // the current pull ended; later events for it no-op
+	gen       uint32      // pull generation, stamped on the pull's events
+}
+
+// block parks the caller until the coordinator releases it. Caller holds
+// f.mu, which block releases.
+func (w *fabNode) block() {
+	f := w.f
+	f.running--
+	f.cond.Signal()
+	f.mu.Unlock()
+	<-w.wake
 }
 
 // Sleep implements Clock: it schedules a wake event d units ahead, parks
 // the caller, and lets the coordinator run.
-func (c fabClock) Sleep(d float64) (float64, bool) {
-	f := c.f
+func (w *fabNode) Sleep(d float64) (float64, bool) {
+	f := w.f
 	f.mu.Lock()
 	if f.closed {
 		now := f.now
 		f.mu.Unlock()
 		return now, false
 	}
-	ch := make(chan struct{})
-	f.schedule(f.now+d, func() {
-		// Fires under f.mu: the sleeper becomes the one running goroutine.
-		f.running++
-		close(ch)
-	})
-	f.running--
-	f.cond.Signal()
-	f.mu.Unlock()
-	<-ch
+	f.schedule(d, event{kind: evWake, node: w.id})
+	w.block()
 	f.mu.Lock()
 	now := f.now
 	ok := !f.closed
@@ -275,8 +333,8 @@ func (c fabClock) Sleep(d float64) (float64, bool) {
 }
 
 // Done implements Clock: the node goroutine is finished for good.
-func (c fabClock) Done() {
-	f := c.f
+func (w *fabNode) Done() {
+	f := w.f
 	f.mu.Lock()
 	f.running--
 	f.live--
@@ -284,35 +342,31 @@ func (c fabClock) Done() {
 	f.mu.Unlock()
 }
 
-// fabConn is node id's endpoint on the fabric.
-type fabConn struct {
-	f  *Fabric
-	id int
-}
-
-// pullWait tracks one in-flight Pull: filled reply slots, the count still
-// missing, and a latch so late replies and the stale timeout are no-ops.
-type pullWait struct {
-	replies   []PullReply
-	remaining int
-	done      bool
-	ch        chan struct{}
-}
-
 // Pull implements Conn. Each request is delivered to the responder's
 // handler after its (possibly zero) latency draw; the reply travels back
 // with an independent draw. The requester wakes when all replies landed or
-// at the timeout — a timeout event is always scheduled, which doubles as
-// the release path when replies were dropped or the fabric closes.
-func (c fabConn) Pull(peers []int, timeout float64) []PullReply {
-	f := c.f
+// at the timeout. A timeout event is always scheduled: it wakes the
+// requester when messages were dropped, and it is the release valve during
+// close-drain. When the last reply lands first, the timeout is removed
+// from the queue; it would have fired as a no-op.
+//
+// The returned slice is the endpoint's reply buffer: it is valid until the
+// next Pull on this endpoint.
+func (w *fabNode) Pull(peers []int, timeout float64) []PullReply {
+	f := w.f
 	f.mu.Lock()
-	replies := make([]PullReply, len(peers))
+	if cap(w.replies) < len(peers) {
+		w.replies = make([]PullReply, len(peers))
+	}
+	w.replies = w.replies[:len(peers)]
+	clear(w.replies)
 	if f.closed {
 		f.mu.Unlock()
-		return replies
+		return w.replies
 	}
-	pw := &pullWait{replies: replies, remaining: len(peers), ch: make(chan struct{})}
+	w.gen++
+	w.remaining = len(peers)
+	w.done = false
 	for i, p := range peers {
 		f.stats.Requests++
 		if f.drop() {
@@ -321,54 +375,9 @@ func (c fabConn) Pull(peers []int, timeout float64) []PullReply {
 			f.stats.Dropped++
 			continue
 		}
-		i, p := i, p
-		f.schedule(f.now+f.delay(), func() {
-			// Request delivery. The handler is the responder's
-			// always-responsive network layer: it reads atomically
-			// published state, so invoking it here never wakes or blocks
-			// the responder's protocol goroutine.
-			if f.closed {
-				return
-			}
-			resp := f.handlers[p](Message{Kind: KindPull, To: uint32(p), From: uint32(c.id)})
-			if f.drop() {
-				f.stats.Dropped++
-				return
-			}
-			f.schedule(f.now+f.delay(), func() {
-				// Reply delivery back to the requester.
-				if f.closed || pw.done {
-					return
-				}
-				f.stats.Responses++
-				pw.replies[i] = PullReply{
-					Opinion: population.Color(resp.Opinion),
-					Decided: resp.Decided,
-					OK:      true,
-				}
-				pw.remaining--
-				if pw.remaining == 0 {
-					pw.done = true
-					f.running++
-					close(pw.ch)
-				}
-			})
-		})
+		f.schedule(f.delay(), event{kind: evRequest, node: w.id, peer: int32(p), slot: int32(i), gen: w.gen})
 	}
-	// The timeout always exists: it wakes the requester when replies were
-	// dropped, and it is the release valve during close-drain. When all
-	// replies arrived first it fires as a stale no-op.
-	f.schedule(f.now+timeout, func() {
-		if pw.done {
-			return
-		}
-		pw.done = true
-		f.running++
-		close(pw.ch)
-	})
-	f.running--
-	f.cond.Signal()
-	f.mu.Unlock()
-	<-pw.ch
-	return replies
+	f.schedule(timeout, event{kind: evTimeout, node: w.id, gen: w.gen})
+	w.block()
+	return w.replies
 }

@@ -81,7 +81,8 @@ type Conn interface {
 	// and blocks until each reply arrived or the timeout (in parallel-time
 	// units) expired; replies[i] corresponds to peers[i]. Peers may repeat
 	// (sampling is with replacement across activations, and a node may
-	// draw the same peer twice).
+	// draw the same peer twice). The returned slice is owned by the Conn
+	// and valid only until the caller's next Pull, which may reuse it.
 	Pull(peers []int, timeout float64) []PullReply
 }
 

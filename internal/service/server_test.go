@@ -460,3 +460,27 @@ func TestHandlerPanicsOnRouteDrift(t *testing.T) {
 	}
 	_ = fmt.Sprintf // keep fmt imported for future use
 }
+
+// TestOneBitJobCompletes: the daemon runs the OneExtraBit protocol that
+// docs/API.md advertises, and rejects a onebit spec that names a model
+// with invalid_spec.
+func TestOneBitJobCompletes(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	resp, body := post(t, ts, JobSpec{Protocol: "onebit", Counts: []int64{6_000, 4_000}, Seed: 3})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit onebit: status %d: %s", resp.StatusCode, body)
+	}
+	var st JobStatus
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	done, _ := waitState(t, ts, st.ID, StateDone, 60*time.Second)
+	if len(done.Reports) != 1 || !done.Reports[0].Converged {
+		t.Fatalf("onebit job did not converge: %+v", done.Reports)
+	}
+
+	resp, body = post(t, ts, JobSpec{Protocol: "onebit", Counts: []int64{6_000, 4_000}, Model: "sequential"})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "invalid_spec") {
+		t.Fatalf("onebit with a model: status %d: %s", resp.StatusCode, body)
+	}
+}

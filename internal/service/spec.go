@@ -40,7 +40,8 @@ type JobSpec struct {
 	// Seed roots the run's determinism; 0 selects the library default (1).
 	Seed uint64 `json:"seed,omitempty"`
 	// Model is the communication model: "sequential" (default), "poisson",
-	// "heap-poisson" or "synchronous".
+	// "heap-poisson" or "synchronous". OneExtraBit ("onebit") is synchronous
+	// by definition and takes no model; naming one is an invalid spec.
 	Model string `json:"model,omitempty"`
 	// Engine selects the dynamics execution engine: "auto" (default),
 	// "per-node", "occupancy" or "leap".
@@ -105,6 +106,12 @@ var specEngines = map[string]plurality.Engine{
 	"leap":      plurality.EngineLeap,
 }
 
+// oneBit reports whether the spec names OneExtraBit, under either of the
+// spellings plurality.NewJob accepts.
+func (sp JobSpec) oneBit() bool {
+	return sp.Protocol == "onebit" || sp.Protocol == "one-extra-bit"
+}
+
 // normalize fills the defaults that do not change the run (seed, trials,
 // model/engine names) so equivalent spellings share one canonical key, and
 // validates the service-level constraints the library cannot see.
@@ -118,11 +125,18 @@ func (sp JobSpec) normalize() (JobSpec, error) {
 	if sp.Trials < 0 {
 		return sp, fmt.Errorf("trials = %d, want >= 0", sp.Trials)
 	}
-	if sp.Model == "" {
-		sp.Model = "sequential"
-	}
-	if _, ok := specModels[sp.Model]; !ok {
-		return sp, fmt.Errorf("unknown model %q (sequential, poisson, heap-poisson, synchronous)", sp.Model)
+	if sp.oneBit() {
+		// OneExtraBit is synchronous by definition and takes no model.
+		if sp.Model != "" {
+			return sp, fmt.Errorf("protocol %q takes no model (OneExtraBit is synchronous by definition); drop the model field", sp.Protocol)
+		}
+	} else {
+		if sp.Model == "" {
+			sp.Model = "sequential"
+		}
+		if _, ok := specModels[sp.Model]; !ok {
+			return sp, fmt.Errorf("unknown model %q (sequential, poisson, heap-poisson, synchronous)", sp.Model)
+		}
 	}
 	if sp.Engine == "" {
 		sp.Engine = "auto"
@@ -162,9 +176,9 @@ func (sp JobSpec) normalize() (JobSpec, error) {
 // observer is bound later by the executing task (it owns the snapshot
 // fan-out).
 func (sp JobSpec) options() []plurality.Option {
-	opts := []plurality.Option{
-		plurality.WithSeed(sp.Seed),
-		plurality.WithModel(specModels[sp.Model]),
+	opts := []plurality.Option{plurality.WithSeed(sp.Seed)}
+	if sp.Model != "" {
+		opts = append(opts, plurality.WithModel(specModels[sp.Model]))
 	}
 	if sp.Engine != "auto" {
 		opts = append(opts, plurality.WithEngine(specEngines[sp.Engine]))

@@ -116,3 +116,23 @@ func TestCompileUsesLibraryValidation(t *testing.T) {
 		t.Fatalf("normalized spec %+v, job n=%d", norm, job.N())
 	}
 }
+
+// TestOneBitSpecCarriesNoModel: OneExtraBit takes no model option, so its
+// specs normalize to an empty model and compile; naming a model is an
+// invalid spec rather than a job the library would reject.
+func TestOneBitSpecCarriesNoModel(t *testing.T) {
+	for _, protocol := range []string{"onebit", "one-extra-bit"} {
+		sp := JobSpec{Protocol: protocol, Counts: []int64{600, 400}}
+		norm, job, err := sp.compile(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", protocol, err)
+		}
+		if norm.Model != "" || job.N() != 1000 {
+			t.Fatalf("%s: normalized model %q, job n=%d", protocol, norm.Model, job.N())
+		}
+		sp.Model = "synchronous"
+		if _, err := sp.normalize(); err == nil {
+			t.Errorf("%s: normalize accepted an explicit model", protocol)
+		}
+	}
+}
