@@ -3,9 +3,11 @@ package plurality_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"plurality"
+	"plurality/internal/par"
 	"plurality/internal/stats"
 )
 
@@ -35,27 +37,39 @@ func runCounts(spec string, counts []int64, opts ...plurality.Option) (plurality
 
 // runEngineTrials collects consensus times and tick counts of an
 // asynchronous run of spec under the given engine, each trial on a fresh
-// population.
+// population. Trial i runs with seed seedBase+i and lands at index i, so
+// the samples do not depend on how the trials are spread over the
+// GOMAXPROCS workers; the workers report errors instead of failing the
+// test themselves.
 func runEngineTrials(t *testing.T, spec string, counts []int64, engine plurality.Engine, model plurality.Model, trials int, seedBase uint64) (times, ticks []float64) {
 	t.Helper()
-	for i := 0; i < trials; i++ {
+	times = make([]float64, trials)
+	ticks = make([]float64, trials)
+	err := par.ForEach(0, trials, func(i int) error {
 		pop, err := plurality.NewPopulation(counts)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		rep, err := runOn(t, spec, pop,
+		job, err := plurality.NewJob(spec, pop.Counts(),
 			plurality.WithSeed(seedBase+uint64(i)),
 			plurality.WithEngine(engine),
 			plurality.WithModel(model),
 			plurality.WithMaxTime(1e6))
 		if err != nil {
-			t.Fatalf("trial %d: %v", i, err)
+			return err
+		}
+		rep, err := job.RunOn(context.Background(), pop)
+		if err != nil {
+			return err
 		}
 		if !pop.ConsensusOn(rep.Winner) {
-			t.Fatalf("trial %d: population disagrees with reported winner %d", i, rep.Winner)
+			return fmt.Errorf("population disagrees with reported winner %d", rep.Winner)
 		}
-		times = append(times, rep.Time)
-		ticks = append(ticks, float64(rep.Ticks))
+		times[i], ticks[i] = rep.Time, float64(rep.Ticks)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", spec, err)
 	}
 	return times, ticks
 }

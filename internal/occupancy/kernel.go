@@ -10,22 +10,38 @@ import (
 // effective when it changes the color histogram; all other activations are
 // no-ops the engine skips in bulk.
 //
-// Both methods see the live counts (summing to n) and the sampling mode of
-// the clique (withSelf: neighbor draws include the activated node itself).
+// The contract is two-phase. EffectiveProb prepares a histogram: it
+// computes the state's per-color weights and their totals once and keeps
+// them in the kernel, which may also keep a reference to counts.
+// SampleTransition then draws from that prepared state, so the engine pays
+// for each histogram's law once per transition instead of once per method.
+// The histogram must not change between the two calls, and any other call
+// on the kernel (EffectiveProb on another histogram, FlowKernel.Flows)
+// replaces the prepared state. Kernels carry this scratch, so every
+// OccupancyKernel call returns a fresh instance owned by one run; after
+// the first call on a histogram size neither phase allocates.
+//
 // Probabilities are computed in float64 — exact up to rounding, the same
 // precision class as the Bernoulli/geometric draws of the per-node engines.
 type Kernel interface {
-	// EffectiveProb returns the probability that a single activation of a
-	// uniformly random node changes the histogram.
+	// EffectiveProb prepares the kernel for counts (summing to n; withSelf:
+	// neighbor draws include the activated node itself) and returns the
+	// probability that a single activation of a uniformly random node
+	// changes the histogram.
 	EffectiveProb(counts []int64, n int64, withSelf bool) float64
 	// SampleTransition draws the (from, to) color pair of a histogram
-	// change, conditioned on the activation being effective. from != to.
-	SampleTransition(r *rng.RNG, counts []int64, n int64, withSelf bool) (from, to int)
+	// change on the histogram the last EffectiveProb call prepared,
+	// conditioned on the activation being effective. from != to. It must
+	// follow an EffectiveProb call that returned a positive probability;
+	// repeated calls draw independently from the same prepared state.
+	SampleTransition(r *rng.RNG) (from, to int)
 }
 
 // Kerneled is implemented by rules that expose their exact count-level
 // transition law. A rule without a kernel still runs count-collapsed, just
 // activation by activation instead of transition by transition.
+// OccupancyKernel returns a fresh kernel per call: kernels keep the state
+// EffectiveProb prepares, so one instance serves one run.
 type Kerneled interface {
 	OccupancyKernel() Kernel
 }
@@ -47,15 +63,14 @@ type FlowKernel interface {
 	Flows(x, out []float64)
 }
 
-// sumSquares returns Σ counts[c]² in float64 (exact up to rounding; the
-// kernels only ever use it inside float64 probabilities).
-func sumSquares(counts []int64) float64 {
-	var a float64
-	for _, v := range counts {
-		f := float64(v)
-		a += f * f
+// Grow returns (*buf)[:n], reallocating *buf only when it is short. A
+// kernel carves its weight slices from one such array, so they cost one
+// allocation per run and none per histogram.
+func Grow(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
 	}
-	return a
+	return (*buf)[:n]
 }
 
 // --- Two-Choices ---------------------------------------------------------
@@ -67,18 +82,34 @@ func sumSquares(counts []int64) float64 {
 // per-activation effective probability is (A·n − B)/(n·(n−1)²) without
 // self-sampling (the δ-correction for d = c cancels because d = c is never
 // effective) and (A·n − B)/n³ with it.
-type TwoChoicesKernel struct{}
+type TwoChoicesKernel struct {
+	counts []int64
+	a      float64   // A
+	total  float64   // A·n − B, the closed-form total of leave
+	leave  []float64 // n_c·(A − n_c²)
+	sq     []float64 // n_d², the destination weights
+	buf    []float64 // backs leave and sq
+}
 
 // EffectiveProb implements Kernel.
-func (TwoChoicesKernel) EffectiveProb(counts []int64, n int64, withSelf bool) float64 {
+func (kn *TwoChoicesKernel) EffectiveProb(counts []int64, n int64, withSelf bool) float64 {
+	k := len(counts)
+	ws := Grow(&kn.buf, 2*k)
+	kn.counts, kn.leave, kn.sq = counts, ws[:k], ws[k:]
 	var a, b float64
-	for _, v := range counts {
+	for d, v := range counts {
 		f := float64(v)
 		f2 := f * f
+		kn.sq[d] = f2
 		a += f2
 		b += f2 * f
 	}
+	for c, v := range counts {
+		f := float64(v)
+		kn.leave[c] = f * (a - f*f)
+	}
 	nf := float64(n)
+	kn.a, kn.total = a, a*nf-b
 	qden := nf - 1
 	if withSelf {
 		qden = nf
@@ -87,25 +118,18 @@ func (TwoChoicesKernel) EffectiveProb(counts []int64, n int64, withSelf bool) fl
 }
 
 // SampleTransition implements Kernel: (from, to) with probability
-// proportional to n_from · n_to², to ≠ from. The weight total has the
-// closed form A·n − B, so no extra scan is needed before the pick.
-func (TwoChoicesKernel) SampleTransition(r *rng.RNG, counts []int64, n int64, withSelf bool) (from, to int) {
-	var a, b float64
-	for _, v := range counts {
-		f := float64(v)
-		f2 := f * f
-		a += f2
-		b += f2 * f
-	}
-	from = WeightedPick(r, a*float64(n)-b, counts, func(c int, f float64) float64 { return f * (a - f*f) })
-	ff := float64(counts[from])
-	to = WeightedPickExcept(r, a-ff*ff, counts, from, func(c int, f float64) float64 { return f * f })
+// proportional to n_from · n_to², to ≠ from. Both weight totals have closed
+// forms (A·n − B and A − n_from²), so no scan precedes either pick.
+func (kn *TwoChoicesKernel) SampleTransition(r *rng.RNG) (from, to int) {
+	from = WeightedPick(r, kn.total, kn.leave)
+	ff := float64(kn.counts[from])
+	to = WeightedPickExcept(r, kn.a-ff*ff, kn.sq, from)
 	return from, to
 }
 
 // Flows implements FlowKernel: a node of color c moves to d when both
 // samples hit d, so F_cd = x_c · x_d².
-func (TwoChoicesKernel) Flows(x, out []float64) {
+func (*TwoChoicesKernel) Flows(x, out []float64) {
 	k := len(x)
 	for c := 0; c < k; c++ {
 		for d := 0; d < k; d++ {
@@ -124,12 +148,28 @@ func (TwoChoicesKernel) Flows(x, out []float64) {
 // and adopt its color unconditionally. The activation is effective iff the
 // sample differs from the own color, which happens with total probability
 // (n² − A)/(n(n−1)) without self-sampling and (n² − A)/n² with it.
-type VoterKernel struct{}
+type VoterKernel struct {
+	nf    float64
+	total float64   // n² − A, the closed-form total of leave
+	leave []float64 // n_c·(n − n_c)
+	f     []float64 // n_d, the destination weights
+	buf   []float64 // backs leave and f
+}
 
 // EffectiveProb implements Kernel.
-func (VoterKernel) EffectiveProb(counts []int64, n int64, withSelf bool) float64 {
-	a := sumSquares(counts)
+func (kn *VoterKernel) EffectiveProb(counts []int64, n int64, withSelf bool) float64 {
+	k := len(counts)
+	ws := Grow(&kn.buf, 2*k)
+	kn.leave, kn.f = ws[:k], ws[k:]
 	nf := float64(n)
+	var a float64
+	for c, v := range counts {
+		f := float64(v)
+		kn.f[c] = f
+		kn.leave[c] = f * (nf - f)
+		a += f * f
+	}
+	kn.nf, kn.total = nf, nf*nf-a
 	qden := nf - 1
 	if withSelf {
 		qden = nf
@@ -139,11 +179,9 @@ func (VoterKernel) EffectiveProb(counts []int64, n int64, withSelf bool) float64
 
 // SampleTransition implements Kernel: (from, to) with probability
 // proportional to n_from · n_to, to ≠ from.
-func (VoterKernel) SampleTransition(r *rng.RNG, counts []int64, n int64, withSelf bool) (from, to int) {
-	nf := float64(n)
-	a := sumSquares(counts)
-	from = WeightedPick(r, nf*nf-a, counts, func(c int, f float64) float64 { return f * (nf - f) })
-	to = WeightedPickExcept(r, nf-float64(counts[from]), counts, from, func(c int, f float64) float64 { return f })
+func (kn *VoterKernel) SampleTransition(r *rng.RNG) (from, to int) {
+	from = WeightedPick(r, kn.total, kn.leave)
+	to = WeightedPickExcept(r, kn.nf-kn.f[from], kn.f, from)
 	return from, to
 }
 
@@ -151,7 +189,7 @@ func (VoterKernel) SampleTransition(r *rng.RNG, counts []int64, n int64, withSel
 // so F_cd = x_c · x_d. The flow matrix is symmetric — the Voter drift is
 // identically zero (the martingale), which the leap engine's ODE regime
 // detects as a stall and sidesteps.
-func (VoterKernel) Flows(x, out []float64) {
+func (*VoterKernel) Flows(x, out []float64) {
 	k := len(x)
 	for c := 0; c < k; c++ {
 		for d := 0; d < k; d++ {
@@ -173,7 +211,15 @@ func (VoterKernel) Flows(x, out []float64) {
 // probability 3q_d²(1−q_d) + q_d³ + q_d[(1−q_d)² − (S₂ − q_d²)] where
 // S₂ = Σ q_e² (the three terms: exactly two matches anywhere, all three
 // match, first-sample tiebreak over three distinct colors).
-type ThreeMajorityKernel struct{}
+type ThreeMajorityKernel struct {
+	counts   []int64
+	nf, a    float64 // n and Σ n_e²
+	withSelf bool
+	total    float64   // Σ leave
+	leave    []float64 // n_c·P(adopt ≠ c)
+	dest     []float64 // P(adopt = d) for the drawn mover
+	buf      []float64 // backs leave and dest
+}
 
 // threeMajAdopt returns P(adopted color = d) for a color with neighbor
 // probability q under sample second moment s2. Rounding can push the
@@ -187,89 +233,72 @@ func threeMajAdopt(q, s2 float64) float64 {
 	return p
 }
 
-// neighborLaw returns the neighbor probability of color d and the sample
-// second moment S₂ for an activated node of color c, in either sampling
-// mode. a is Σ n_e².
-func neighborLaw(counts []int64, nf, a float64, c, d int, withSelf bool) (qd, s2 float64) {
-	if withSelf {
-		return float64(counts[d]) / nf, a / (nf * nf)
+// law returns the neighbor-law denominator and the sample second moment S₂
+// seen by an activated node of color c: with self-sampling every node sees
+// n_e/n, without it n_e/(n−1) with its own color short by one.
+func (kn *ThreeMajorityKernel) law(c int) (qden, s2 float64) {
+	if kn.withSelf {
+		return kn.nf, kn.a / (kn.nf * kn.nf)
 	}
-	qden := nf - 1
-	nd := float64(counts[d])
-	if d == c {
-		nd--
-	}
-	fc := float64(counts[c])
-	return nd / qden, (a - 2*fc + 1) / (qden * qden)
+	qden = kn.nf - 1
+	fc := float64(kn.counts[c])
+	return qden, (kn.a - 2*fc + 1) / (qden * qden)
 }
 
 // EffectiveProb implements Kernel.
-func (ThreeMajorityKernel) EffectiveProb(counts []int64, n int64, withSelf bool) float64 {
+func (kn *ThreeMajorityKernel) EffectiveProb(counts []int64, n int64, withSelf bool) float64 {
+	k := len(counts)
+	ws := Grow(&kn.buf, 2*k)
+	kn.counts, kn.withSelf, kn.leave, kn.dest = counts, withSelf, ws[:k], ws[k:]
 	nf := float64(n)
-	a := sumSquares(counts)
+	var a float64
+	for _, v := range counts {
+		f := float64(v)
+		a += f * f
+	}
+	kn.nf, kn.a = nf, a
 	var sum float64
 	for c, v := range counts {
+		kn.leave[c] = 0
 		if v == 0 {
 			continue
 		}
-		qc, s2 := neighborLaw(counts, nf, a, c, c, withSelf)
-		w := 1 - threeMajAdopt(qc, s2)
-		if w > 0 {
-			sum += float64(v) * w
+		qden, s2 := kn.law(c)
+		nc := float64(v)
+		if !withSelf {
+			nc--
+		}
+		if w := 1 - threeMajAdopt(nc/qden, s2); w > 0 {
+			kn.leave[c] = float64(v) * w
+			sum += kn.leave[c]
 		}
 	}
+	kn.total = sum
 	return sum / nf
 }
 
 // SampleTransition implements Kernel: own color c with probability
 // proportional to n_c · P(adopt ≠ c), then the adopted color d ≠ c with
-// probability proportional to P(adopt = d). Unlike the product-form
-// kernels, the weight totals have no cheap closed form, so each stage
-// evaluates its weights twice (total, then pick) — the price of keeping
-// the kernel stateless and allocation-free; k is small, so the scan cost
-// stays negligible against the per-transition RNG work.
-func (ThreeMajorityKernel) SampleTransition(r *rng.RNG, counts []int64, n int64, withSelf bool) (from, to int) {
-	nf := float64(n)
-	a := sumSquares(counts)
-	var total float64
-	for c, v := range counts {
-		if v == 0 {
-			continue
-		}
-		qc, s2 := neighborLaw(counts, nf, a, c, c, withSelf)
-		if w := 1 - threeMajAdopt(qc, s2); w > 0 {
-			total += float64(v) * w
-		}
-	}
-	from = WeightedPick(r, total, counts, func(c int, f float64) float64 {
-		if f == 0 {
-			return 0
-		}
-		qc, s2 := neighborLaw(counts, nf, a, c, c, withSelf)
-		w := 1 - threeMajAdopt(qc, s2)
-		if w < 0 {
-			return 0
-		}
-		return f * w
-	})
+// probability proportional to P(adopt = d) under c's neighbor law, whose
+// S₂ is the same for every destination.
+func (kn *ThreeMajorityKernel) SampleTransition(r *rng.RNG) (from, to int) {
+	from = WeightedPick(r, kn.total, kn.leave)
+	qden, s2 := kn.law(from)
 	var dTotal float64
-	for d := range counts {
+	for d, v := range kn.counts {
 		if d == from {
 			continue
 		}
-		qd, s2 := neighborLaw(counts, nf, a, from, d, withSelf)
-		dTotal += threeMajAdopt(qd, s2)
+		kn.dest[d] = threeMajAdopt(float64(v)/qden, s2)
+		dTotal += kn.dest[d]
 	}
-	to = WeightedPickExcept(r, dTotal, counts, from, func(d int, _ float64) float64 {
-		qd, s2 := neighborLaw(counts, nf, a, from, d, withSelf)
-		return threeMajAdopt(qd, s2)
-	})
+	to = WeightedPickExcept(r, dTotal, kn.dest, from)
 	return from, to
 }
 
 // Flows implements FlowKernel: in the fraction limit the neighbor law is x
 // itself, so F_cd = x_c · threeMajAdopt(x_d, S₂) with S₂ = Σ x_e².
-func (ThreeMajorityKernel) Flows(x, out []float64) {
+func (*ThreeMajorityKernel) Flows(x, out []float64) {
 	k := len(x)
 	var s2 float64
 	for _, f := range x {
@@ -290,43 +319,39 @@ func (ThreeMajorityKernel) Flows(x, out []float64) {
 // Exported so kernel implementations in the protocol packages (usd,
 // jmajority) share the same rounding-drift handling as the built-ins.
 
-// WeightedPick draws an index with probability proportional to weight(c,
-// float64(counts[c])), given the precomputed total. Rounding drift is
-// absorbed by returning the last positively weighted index when the scan
-// runs past the end.
-func WeightedPick(r *rng.RNG, total float64, counts []int64, weight func(c int, f float64) float64) int {
+// WeightedPick draws an index with probability proportional to w[c], given
+// the precomputed total. Non-positive weights are never drawn. Rounding
+// drift is absorbed by returning the last positively weighted index when
+// the scan runs past the end.
+func WeightedPick(r *rng.RNG, total float64, w []float64) int {
 	x := r.Float64() * total
 	last := 0
-	for c := range counts {
-		w := weight(c, float64(counts[c]))
-		if w <= 0 {
+	for c, wc := range w {
+		if wc <= 0 {
 			continue
 		}
-		if x < w {
+		if x < wc {
 			return c
 		}
-		x -= w
+		x -= wc
 		last = c
 	}
 	return last
 }
 
-// WeightedPickExcept is WeightedPick over all indices but skip.
-func WeightedPickExcept(r *rng.RNG, total float64, counts []int64, skip int, weight func(c int, f float64) float64) int {
+// WeightedPickExcept is WeightedPick over all indices but skip (w[skip] is
+// ignored).
+func WeightedPickExcept(r *rng.RNG, total float64, w []float64, skip int) int {
 	x := r.Float64() * total
 	last := -1
-	for c := range counts {
-		if c == skip {
+	for c, wc := range w {
+		if c == skip || wc <= 0 {
 			continue
 		}
-		w := weight(c, float64(counts[c]))
-		if w <= 0 {
-			continue
-		}
-		if x < w {
+		if x < wc {
 			return c
 		}
-		x -= w
+		x -= wc
 		last = c
 	}
 	if last >= 0 {

@@ -15,13 +15,13 @@ type testRule struct {
 	name string
 	s    int
 	next func(own population.Color, sampled []population.Color) population.Color
-	kern Kernel
+	kern func() Kernel // a fresh kernel per call, as OccupancyKernel
 }
 
 func builtinRules() []testRule {
 	return []testRule{
 		{
-			name: "two-choices", s: 2, kern: TwoChoicesKernel{},
+			name: "two-choices", s: 2, kern: func() Kernel { return &TwoChoicesKernel{} },
 			next: func(own population.Color, sampled []population.Color) population.Color {
 				if sampled[0] == sampled[1] {
 					return sampled[0]
@@ -30,13 +30,13 @@ func builtinRules() []testRule {
 			},
 		},
 		{
-			name: "voter", s: 1, kern: VoterKernel{},
+			name: "voter", s: 1, kern: func() Kernel { return &VoterKernel{} },
 			next: func(_ population.Color, sampled []population.Color) population.Color {
 				return sampled[0]
 			},
 		},
 		{
-			name: "3-majority", s: 3, kern: ThreeMajorityKernel{},
+			name: "3-majority", s: 3, kern: func() Kernel { return &ThreeMajorityKernel{} },
 			next: func(_ population.Color, sampled []population.Color) population.Color {
 				if sampled[0] == sampled[1] || sampled[0] == sampled[2] {
 					return sampled[0]
@@ -138,7 +138,7 @@ func TestKernelEffectiveProbExact(t *testing.T) {
 				for _, v := range counts {
 					n += v
 				}
-				gotEff := tr.kern.EffectiveProb(counts, n, withSelf)
+				gotEff := tr.kern().EffectiveProb(counts, n, withSelf)
 				if math.Abs(gotEff-wantEff) > 1e-12 {
 					t.Errorf("%s withSelf=%v counts=%v: EffectiveProb = %.15f, enumeration %.15f",
 						tr.name, withSelf, counts, gotEff, wantEff)
@@ -149,9 +149,9 @@ func TestKernelEffectiveProbExact(t *testing.T) {
 }
 
 // TestKernelTransitionDistribution checks SampleTransition's empirical
-// (from, to) frequencies against the exact conditional law by chi-square at
-// the 99.9th percentile. Deterministic seeds: a failure means a wrong
-// kernel, not bad luck.
+// (from, to) frequencies on one prepared histogram against the exact
+// conditional law by chi-square at the 99.9th percentile. Deterministic
+// seeds: a failure means a wrong kernel, not bad luck.
 func TestKernelTransitionDistribution(t *testing.T) {
 	counts := []int64{6, 3, 2, 1}
 	var n int64
@@ -165,8 +165,12 @@ func TestKernelTransitionDistribution(t *testing.T) {
 			r := rng.New(99)
 			k := len(counts)
 			observed := make([]int, k*k)
+			kern := tr.kern()
+			if got := kern.EffectiveProb(counts, n, withSelf); math.Abs(got-pEff) > 1e-12 {
+				t.Fatalf("%s withSelf=%v: EffectiveProb = %.15f, enumeration %.15f", tr.name, withSelf, got, pEff)
+			}
 			for i := 0; i < draws; i++ {
-				from, to := tr.kern.SampleTransition(r, counts, n, withSelf)
+				from, to := kern.SampleTransition(r)
 				if from == to || from < 0 || to < 0 || from >= k || to >= k {
 					t.Fatalf("%s: SampleTransition returned (%d, %d)", tr.name, from, to)
 				}

@@ -417,7 +417,7 @@ func (lr *leapRun) exactChunk() (bool, error) {
 			}
 		}
 		lr.ticks += g
-		from, to := lr.kern.SampleTransition(lr.r, lr.counts, lr.n, lr.withSelf)
+		from, to := lr.kern.SampleTransition(lr.r)
 		lr.res.ExactTransitions++
 		if from != to {
 			lr.counts[from]--

@@ -23,8 +23,11 @@
 // # Leap mode
 //
 // Rules that expose their count-level transition law (Kerneled: Voter,
-// Two-Choices, 3-Majority) run transition by transition instead of tick by
-// tick. Most activations are no-ops — Two-Choices near consensus changes
+// Two-Choices, 3-Majority here, Undecided-State Dynamics and j-Majority in
+// their protocol packages) run transition by transition instead of tick by
+// tick. Each transition prepares the histogram's law once
+// (Kernel.EffectiveProb) and draws the move from it
+// (Kernel.SampleTransition). Most activations are no-ops — Two-Choices near consensus changes
 // the histogram once in Θ(n) ticks — and the time to the next *effective*
 // activation is geometric in the per-tick effective probability p, so the
 // engine draws the skip length in O(1) instead of walking the no-ops. The
@@ -442,7 +445,7 @@ func runLeap(counts []int64, kern Kernel, cfg Config, n, budget int64, sequentia
 			}
 		}
 		ticks += g
-		from, to := kern.SampleTransition(r, counts, n, cfg.WithSelf)
+		from, to := kern.SampleTransition(r)
 		if from == to {
 			continue
 		}

@@ -20,7 +20,7 @@ func (d dynRule) SampleCount() int { return d.tr.s }
 func (d dynRule) Next(_ *rng.RNG, own population.Color, sampled []population.Color) population.Color {
 	return d.tr.next(own, sampled)
 }
-func (d dynRule) OccupancyKernel() Kernel { return d.tr.kern }
+func (d dynRule) OccupancyKernel() Kernel { return d.tr.kern() }
 
 func mkSched(t testing.TB, model string, n int64, seed uint64) sched.Scheduler {
 	t.Helper()

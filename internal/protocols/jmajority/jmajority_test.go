@@ -148,13 +148,13 @@ func TestKernelReproducesVoterAnd3Majority(t *testing.T) {
 		}
 		for _, withSelf := range []bool{false, true} {
 			j1 := (&Kernel{J: 1}).EffectiveProb(counts, n, withSelf)
-			voter := occupancy.VoterKernel{}.EffectiveProb(counts, n, withSelf)
+			voter := (&occupancy.VoterKernel{}).EffectiveProb(counts, n, withSelf)
 			if math.Abs(j1-voter) > 1e-12 {
 				t.Errorf("withSelf=%v counts=%v: j=1 EffectiveProb %.15f != voter %.15f",
 					withSelf, counts, j1, voter)
 			}
 			j3 := (&Kernel{J: 3}).EffectiveProb(counts, n, withSelf)
-			maj := occupancy.ThreeMajorityKernel{}.EffectiveProb(counts, n, withSelf)
+			maj := (&occupancy.ThreeMajorityKernel{}).EffectiveProb(counts, n, withSelf)
 			if math.Abs(j3-maj) > 1e-12 {
 				t.Errorf("withSelf=%v counts=%v: j=3 EffectiveProb %.15f != 3-majority %.15f",
 					withSelf, counts, j3, maj)
@@ -164,9 +164,9 @@ func TestKernelReproducesVoterAnd3Majority(t *testing.T) {
 }
 
 // TestKernelTransitionDistribution checks SampleTransition's empirical
-// (from, to) frequencies against the exact conditional law by chi-square at
-// the 99.9th percentile. Deterministic seeds: a failure means a wrong
-// kernel, not bad luck.
+// (from, to) frequencies on one prepared histogram against the exact
+// conditional law by chi-square at the 99.9th percentile. Deterministic
+// seeds: a failure means a wrong kernel, not bad luck.
 func TestKernelTransitionDistribution(t *testing.T) {
 	counts := []int64{6, 3, 2, 1}
 	var n int64
@@ -181,8 +181,11 @@ func TestKernelTransitionDistribution(t *testing.T) {
 			p, pEff := majorityLaw(counts, withSelf, j)
 			r := rng.New(99)
 			observed := make([]int, k*k)
+			if got := kern.EffectiveProb(counts, n, withSelf); math.Abs(got-pEff) > 1e-12 {
+				t.Fatalf("j=%d withSelf=%v: EffectiveProb = %.15f, enumeration %.15f", j, withSelf, got, pEff)
+			}
 			for i := 0; i < draws; i++ {
-				from, to := kern.SampleTransition(r, counts, n, withSelf)
+				from, to := kern.SampleTransition(r)
 				if from == to || from < 0 || to < 0 || from >= k || to >= k {
 					t.Fatalf("j=%d: SampleTransition returned (%d, %d)", j, from, to)
 				}

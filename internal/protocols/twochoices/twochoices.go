@@ -29,7 +29,7 @@ var (
 // OccupancyKernel implements occupancy.Kerneled: the exact count-level
 // transition law that lets the count-collapsed engine leap over no-op
 // activations on the clique.
-func (Rule) OccupancyKernel() occupancy.Kernel { return occupancy.TwoChoicesKernel{} }
+func (Rule) OccupancyKernel() occupancy.Kernel { return &occupancy.TwoChoicesKernel{} }
 
 // Name implements dynamics.Rule.
 func (Rule) Name() string { return "two-choices" }

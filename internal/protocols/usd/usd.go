@@ -104,7 +104,7 @@ func (h HistRule) Next(_ *rng.RNG, own population.Color, sampled []population.Co
 // OccupancyKernel implements occupancy.Kerneled: the exact count-level
 // transition law that lets the count-collapsed engine leap over no-op
 // activations on the clique.
-func (HistRule) OccupancyKernel() occupancy.Kernel { return Kernel{} }
+func (HistRule) OccupancyKernel() occupancy.Kernel { return &Kernel{} }
 
 // Kernel is the count-level law of Undecided-State Dynamics on k+1 buckets
 // (the last one undecided). Writing D = Σ n_c over the decided colors,
@@ -119,16 +119,12 @@ func (HistRule) OccupancyKernel() occupancy.Kernel { return Kernel{} }
 // self-sampling and (D² − S₂ + u·D)/n² with it — the numerators coincide
 // because excluding the activated node removes only same-color (c = d)
 // pairings, which are never effective.
-type Kernel struct{}
-
-// decidedMoments returns D and S₂ over the decided buckets.
-func decidedMoments(counts []int64) (d, s2 float64) {
-	for _, v := range counts[:len(counts)-1] {
-		f := float64(v)
-		d += f
-		s2 += f * f
-	}
-	return d, s2
+type Kernel struct {
+	d     float64   // D, the closed-form total of the destination weights
+	total float64   // D² − S₂ + u·D, the closed-form total of leave
+	leave []float64 // n_c·(D − n_c) per decided color, u·D for the pool
+	f     []float64 // n_d, the destination weights of an undecided mover
+	buf   []float64 // backs leave and f
 }
 
 // Flows implements occupancy.FlowKernel on the k+1-bucket convention: with
@@ -136,7 +132,7 @@ func decidedMoments(counts []int64) (d, s2 float64) {
 // into the undecided pool at F_{c,und} = x_c·(D − x_c) and the pool refills
 // decided colors at F_{und,d} = u·x_d; decided-to-decided flow is zero (a
 // disagreeing node always passes through the undecided state).
-func (Kernel) Flows(x, out []float64) {
+func (*Kernel) Flows(x, out []float64) {
 	k := len(x)
 	und := k - 1
 	var d float64
@@ -156,9 +152,24 @@ func (Kernel) Flows(x, out []float64) {
 }
 
 // EffectiveProb implements occupancy.Kernel.
-func (Kernel) EffectiveProb(counts []int64, n int64, withSelf bool) float64 {
-	d, s2 := decidedMoments(counts)
-	u := float64(counts[len(counts)-1])
+func (kn *Kernel) EffectiveProb(counts []int64, n int64, withSelf bool) float64 {
+	k := len(counts)
+	ws := occupancy.Grow(&kn.buf, 2*k)
+	kn.leave, kn.f = ws[:k], ws[k:]
+	und := k - 1
+	var d, s2 float64
+	for c, v := range counts[:und] {
+		f := float64(v)
+		kn.f[c] = f
+		d += f
+		s2 += f * f
+	}
+	u := float64(counts[und])
+	for c, f := range kn.f[:und] {
+		kn.leave[c] = f * (d - f)
+	}
+	kn.leave[und] = u * d
+	kn.d, kn.total = d, d*d-s2+u*d
 	nf := float64(n)
 	qden := nf - 1
 	if withSelf {
@@ -171,19 +182,12 @@ func (Kernel) EffectiveProb(counts []int64, n int64, withSelf bool) float64 {
 // color c with weight n_c·(D − n_c) or the undecided bucket with weight
 // u·D; a decided source always sinks into the undecided bucket, an
 // undecided source sinks into decided color d with weight n_d.
-func (Kernel) SampleTransition(r *rng.RNG, counts []int64, n int64, withSelf bool) (from, to int) {
-	und := len(counts) - 1
-	d, s2 := decidedMoments(counts)
-	u := float64(counts[und])
-	from = occupancy.WeightedPick(r, d*d-s2+u*d, counts, func(c int, f float64) float64 {
-		if c == und {
-			return f * d
-		}
-		return f * (d - f)
-	})
+func (kn *Kernel) SampleTransition(r *rng.RNG) (from, to int) {
+	und := len(kn.leave) - 1
+	from = occupancy.WeightedPick(r, kn.total, kn.leave)
 	if from != und {
 		return from, und
 	}
-	to = occupancy.WeightedPickExcept(r, d, counts, und, func(_ int, f float64) float64 { return f })
+	to = occupancy.WeightedPickExcept(r, kn.d, kn.f, und)
 	return from, to
 }

@@ -83,7 +83,7 @@ func TestKernelEffectiveProbExact(t *testing.T) {
 			for _, v := range counts {
 				n += v
 			}
-			gotEff := Kernel{}.EffectiveProb(counts, n, withSelf)
+			gotEff := (&Kernel{}).EffectiveProb(counts, n, withSelf)
 			if math.Abs(gotEff-wantEff) > 1e-12 {
 				t.Errorf("withSelf=%v counts=%v: EffectiveProb = %.15f, enumeration %.15f",
 					withSelf, counts, gotEff, wantEff)
@@ -93,9 +93,9 @@ func TestKernelEffectiveProbExact(t *testing.T) {
 }
 
 // TestKernelTransitionDistribution checks SampleTransition's empirical
-// (from, to) frequencies against the exact conditional law by chi-square at
-// the 99.9th percentile. Deterministic seeds: a failure means a wrong
-// kernel, not bad luck.
+// (from, to) frequencies on one prepared histogram against the exact
+// conditional law by chi-square at the 99.9th percentile. Deterministic
+// seeds: a failure means a wrong kernel, not bad luck.
 func TestKernelTransitionDistribution(t *testing.T) {
 	counts := []int64{6, 3, 2, 4} // 3 colors + 4 undecided
 	var n int64
@@ -108,8 +108,12 @@ func TestKernelTransitionDistribution(t *testing.T) {
 		p, pEff := exactLaw(counts, withSelf)
 		r := rng.New(99)
 		observed := make([]int, b*b)
+		kern := &Kernel{}
+		if got := kern.EffectiveProb(counts, n, withSelf); math.Abs(got-pEff) > 1e-12 {
+			t.Fatalf("withSelf=%v: EffectiveProb = %.15f, enumeration %.15f", withSelf, got, pEff)
+		}
 		for i := 0; i < draws; i++ {
-			from, to := Kernel{}.SampleTransition(r, counts, n, withSelf)
+			from, to := kern.SampleTransition(r)
 			if from == to || from < 0 || to < 0 || from >= b || to >= b {
 				t.Fatalf("SampleTransition returned (%d, %d)", from, to)
 			}
@@ -179,8 +183,10 @@ func TestKernelWalkConservesHistogram(t *testing.T) {
 		n += v
 	}
 	r := rng.New(7)
+	kern := &Kernel{}
 	for step := 0; step < 5000; step++ {
-		from, to := Kernel{}.SampleTransition(r, counts, n, false)
+		kern.EffectiveProb(counts, n, false)
+		from, to := kern.SampleTransition(r)
 		counts[from]--
 		counts[to]++
 		var total int64
